@@ -141,8 +141,8 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("durability: %w", err)
 		}
-		fmt.Printf("recovered from %s: snapshot@%d, %d blocks replayed, %d skipped, %d truncated; height %d\n",
-			*dataDir, stats.SnapshotIndex, stats.Replayed, stats.Skipped, stats.Truncated, network.Leader().Height())
+		fmt.Printf("recovered from %s: snapshot@%d, %d blocks replayed, %d truncated; height %d\n",
+			*dataDir, stats.SnapshotIndex, stats.Replayed, stats.Truncated, network.Leader().Height())
 	}
 	srv.Server().SetIdleTimeout(*idle)
 	srv.Traces().SetCapacity(*traceCap)

@@ -119,7 +119,8 @@ func skipDir(name string) bool {
 }
 
 // LoadAll loads every package in the module (skipping testdata, vendored
-// and hidden trees), returning them sorted by import path.
+// and hidden trees and nested modules), returning them sorted by import
+// path.
 func (l *Loader) LoadAll() ([]*Package, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.ModuleRoot, func(path string, d os.DirEntry, err error) error {
@@ -127,7 +128,15 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 			return err
 		}
 		if d.IsDir() {
-			if path != l.ModuleRoot && skipDir(d.Name()) {
+			if path == l.ModuleRoot {
+				return nil
+			}
+			if skipDir(d.Name()) {
+				return filepath.SkipDir
+			}
+			// A nested go.mod starts another module (benchmark/), which
+			// `./...` does not reach in the go tool either.
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

@@ -2,8 +2,11 @@ package chain
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"maps"
+
+	"slicer/internal/mhash"
 )
 
 // Slot is a 32-byte contract storage word.
@@ -17,6 +20,11 @@ type State struct {
 	nonces   map[Address]uint64
 	code     map[Address][]byte
 	storage  map[Address]map[Slot]Slot
+
+	// num/den is the multiset hash of the committed tuples (see Root):
+	// every write multiplies the tuple it replaces into den and the tuple
+	// it installs into num, so no write pays a modular inverse.
+	num, den mhash.Hash
 
 	journal []journalEntry
 }
@@ -38,7 +46,87 @@ func NewState() *State {
 		nonces:   make(map[Address]uint64),
 		code:     make(map[Address][]byte),
 		storage:  make(map[Address]map[Slot]Slot),
+		num:      mhash.Empty(),
+		den:      mhash.Empty(),
 	}
+}
+
+// tuple encodes one committed tuple: domain tag, address, storage slot (for
+// 's' only) and value. A zero or empty value has no tuple (nil), so "never
+// written" and "written back to zero" are the same state.
+func tuple(kind byte, a Address, slot, val []byte) []byte {
+	if len(bytes.TrimLeft(val, "\x00")) == 0 {
+		return nil
+	}
+	t := append(make([]byte, 0, 1+len(a)+len(slot)+len(val)), kind)
+	return append(append(append(t, a[:]...), slot...), val...)
+}
+
+func be64(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
+
+// swap replaces one committed tuple by another in num/den.
+func (s *State) swap(old, new []byte) {
+	if old != nil {
+		s.den = s.den.Add(old)
+	}
+	if new != nil {
+		s.num = s.num.Add(new)
+	}
+}
+
+// The put* setters are the only code that writes the maps. They keep num/den
+// in step and do not journal: the public setters journal and call them,
+// Revert calls them with the journaled previous values.
+
+func (s *State) putU64(kind byte, m map[Address]uint64, a Address, v uint64) {
+	prev := m[a]
+	if prev == v {
+		return
+	}
+	s.swap(tuple(kind, a, nil, be64(prev)), tuple(kind, a, nil, be64(v)))
+	if v == 0 {
+		delete(m, a)
+	} else {
+		m[a] = v
+	}
+}
+
+// codeHash is the value of a 'c' tuple; empty code has none.
+func codeHash(code []byte) []byte {
+	if len(code) == 0 {
+		return nil
+	}
+	h := HashBytes(code)
+	return h[:]
+}
+
+func (s *State) putCode(a Address, code []byte) {
+	s.swap(tuple('c', a, nil, codeHash(s.code[a])), tuple('c', a, nil, codeHash(code)))
+	if len(code) == 0 {
+		delete(s.code, a)
+	} else {
+		s.code[a] = code
+	}
+}
+
+// putStorage keeps a zero word in the map while present is set. That a slot
+// holds an explicit zero is not committed; it only selects SSTORE set-vs-reset
+// pricing, so validators that differed there would still part ways on the
+// header's GasUsed and ReceiptRoot.
+func (s *State) putStorage(a Address, k, v Slot, present bool) {
+	m := s.storage[a]
+	if prev := m[k]; prev != v {
+		s.swap(tuple('s', a, k[:], prev[:]), tuple('s', a, k[:], v[:]))
+	}
+	if !present {
+		delete(m, k)
+		return
+	}
+	if m == nil {
+		m = make(map[Slot]Slot)
+		s.storage[a] = m
+	}
+	m[k] = v
 }
 
 // Balance returns an account balance.
@@ -47,7 +135,7 @@ func (s *State) Balance(a Address) uint64 { return s.balances[a] }
 // SetBalance sets a balance (journaled).
 func (s *State) SetBalance(a Address, v uint64) {
 	s.journal = append(s.journal, journalEntry{kind: 'b', addr: a, prevU64: s.balances[a]})
-	s.balances[a] = v
+	s.putU64('b', s.balances, a, v)
 }
 
 // Credit adds funds to an account.
@@ -68,7 +156,7 @@ func (s *State) Nonce(a Address) uint64 { return s.nonces[a] }
 // BumpNonce increments an account nonce (journaled).
 func (s *State) BumpNonce(a Address) {
 	s.journal = append(s.journal, journalEntry{kind: 'n', addr: a, prevU64: s.nonces[a]})
-	s.nonces[a]++
+	s.putU64('n', s.nonces, a, s.nonces[a]+1)
 }
 
 // Code returns a contract's deployed code (nil for non-contracts).
@@ -76,36 +164,24 @@ func (s *State) Code(a Address) []byte { return s.code[a] }
 
 // SetCode deploys code at an address (journaled).
 func (s *State) SetCode(a Address, code []byte) {
-	prev := s.code[a]
-	s.journal = append(s.journal, journalEntry{kind: 'c', addr: a, prevBuf: prev})
-	cp := make([]byte, len(code))
-	copy(cp, code)
-	s.code[a] = cp
+	s.journal = append(s.journal, journalEntry{kind: 'c', addr: a, prevBuf: s.code[a]})
+	s.putCode(a, append([]byte(nil), code...))
 }
 
 // GetStorage reads one storage slot.
 func (s *State) GetStorage(a Address, k Slot) (Slot, bool) {
-	m, ok := s.storage[a]
-	if !ok {
-		return Slot{}, false
-	}
-	v, ok := m[k]
+	v, ok := s.storage[a][k]
 	return v, ok
 }
 
 // SetStorage writes one storage slot (journaled). Returns whether the slot
 // previously held a value, which drives SSTORE set-vs-reset pricing.
 func (s *State) SetStorage(a Address, k Slot, v Slot) (existed bool) {
-	m, ok := s.storage[a]
-	if !ok {
-		m = make(map[Slot]Slot)
-		s.storage[a] = m
-	}
-	prev, existed := m[k]
+	prev, existed := s.storage[a][k]
 	s.journal = append(s.journal, journalEntry{
 		kind: 's', addr: a, slot: k, prevVal: prev, existed: existed,
 	})
-	m[k] = v
+	s.putStorage(a, k, v, true)
 	return existed
 }
 
@@ -119,21 +195,13 @@ func (s *State) Revert(cp int) {
 		e := s.journal[i]
 		switch e.kind {
 		case 'b':
-			s.balances[e.addr] = e.prevU64
+			s.putU64('b', s.balances, e.addr, e.prevU64)
 		case 'n':
-			s.nonces[e.addr] = e.prevU64
+			s.putU64('n', s.nonces, e.addr, e.prevU64)
 		case 'c':
-			if e.prevBuf == nil {
-				delete(s.code, e.addr)
-			} else {
-				s.code[e.addr] = e.prevBuf
-			}
+			s.putCode(e.addr, e.prevBuf)
 		case 's':
-			if e.existed {
-				s.storage[e.addr][e.slot] = e.prevVal
-			} else {
-				delete(s.storage[e.addr], e.slot)
-			}
+			s.putStorage(e.addr, e.slot, e.prevVal, e.existed)
 		}
 	}
 	s.journal = s.journal[:cp]
@@ -142,83 +210,45 @@ func (s *State) Revert(cp int) {
 // DiscardJournal drops rollback history after a block commits.
 func (s *State) DiscardJournal() { s.journal = s.journal[:0] }
 
-// Root computes a deterministic commitment to the full state: the hash of
-// all accounts and storage entries in canonical order. (A production chain
-// would use a Merkle-Patricia trie; a flat sorted hash gives the same
-// consensus-critical property — any divergence changes the root.)
+// Root returns the commitment to the state that a block header carries:
+// the MSet-Mu-Hash (internal/mhash, the hash the verification contract
+// already trusts for result sets) of the set of tuples
+//
+//	'b' addr balance   'n' addr nonce   'c' addr H(code)   's' addr slot value
+//
+// with no tuple for a zero balance or nonce, empty code or a zero storage
+// word. It is a function of the state's contents alone — not of the order
+// of writes, nor of writes that were reverted or zeroed again — and two
+// states with different tuple sets collide only by breaking discrete log in
+// GF(q)*. Writes maintain it (two field multiplications each), so sealing
+// costs one modular inverse however large the state is. A multiset hash
+// admits no inclusion proofs: light clients prove receipts (light.go), not
+// state.
 func (s *State) Root() Hash {
-	var buf bytes.Buffer
-	writeU64 := func(v uint64) {
-		var u [8]byte
-		for i := 0; i < 8; i++ {
-			u[i] = byte(v >> (56 - 8*i))
-		}
-		buf.Write(u[:])
-	}
-
-	addrs := make([]Address, 0, len(s.balances)+len(s.nonces)+len(s.code)+len(s.storage))
-	seen := make(map[Address]struct{})
-	collect := func(a Address) {
-		if _, ok := seen[a]; !ok {
-			seen[a] = struct{}{}
-			addrs = append(addrs, a)
-		}
-	}
-	for a := range s.balances {
-		collect(a)
-	}
-	for a := range s.nonces {
-		collect(a)
-	}
-	for a := range s.code {
-		collect(a)
-	}
-	for a := range s.storage {
-		collect(a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return bytes.Compare(addrs[i][:], addrs[j][:]) < 0 })
-
-	for _, a := range addrs {
-		buf.Write(a[:])
-		writeU64(s.balances[a])
-		writeU64(s.nonces[a])
-		codeHash := HashBytes(s.code[a])
-		buf.Write(codeHash[:])
-		slots := make([]Slot, 0, len(s.storage[a]))
-		for k := range s.storage[a] {
-			slots = append(slots, k)
-		}
-		sort.Slice(slots, func(i, j int) bool { return bytes.Compare(slots[i][:], slots[j][:]) < 0 })
-		for _, k := range slots {
-			v := s.storage[a][k]
-			buf.Write(k[:])
-			buf.Write(v[:])
-		}
-	}
-	return HashBytes(buf.Bytes())
+	q, v := mhash.Modulus(), s.den.Value()
+	v.ModInverse(v, q) // den is a product of units of the prime field
+	v.Mul(v, s.num.Value()).Mod(v, q)
+	var root Hash
+	v.FillBytes(root[:])
+	return root
 }
 
 // Clone deep-copies the state (used when a validator re-executes a proposed
 // block without disturbing its own tip).
 func (s *State) Clone() *State {
-	out := NewState()
-	for a, v := range s.balances {
-		out.balances[a] = v
-	}
-	for a, v := range s.nonces {
-		out.nonces[a] = v
+	out := &State{
+		balances: maps.Clone(s.balances),
+		nonces:   maps.Clone(s.nonces),
+		code:     make(map[Address][]byte, len(s.code)),
+		storage:  make(map[Address]map[Slot]Slot, len(s.storage)),
+		num:      s.num, // mhash values are immutable
+		den:      s.den,
 	}
 	for a, c := range s.code {
-		cp := make([]byte, len(c))
-		copy(cp, c)
-		out.code[a] = cp
+		out.code[a] = bytes.Clone(c)
 	}
 	for a, m := range s.storage {
-		cm := make(map[Slot]Slot, len(m))
-		for k, v := range m {
-			cm[k] = v
-		}
-		out.storage[a] = cm
+		out.storage[a] = maps.Clone(m)
 	}
 	return out
 }

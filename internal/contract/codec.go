@@ -32,8 +32,12 @@ func appendU16(dst []byte, v int) ([]byte, error) {
 	return append(dst, byte(v>>8), byte(v)), nil
 }
 
+// maxU32 is the largest value the u32 fields carry: they decode into int,
+// so the top bit stays clear on every platform.
+const maxU32 = 0x7fffffff
+
 func appendU32(dst []byte, v int) ([]byte, error) {
-	if v < 0 || v > 0x7fffffff {
+	if v < 0 || v > maxU32 {
 		return nil, fmt.Errorf("contract: length %d exceeds u32", v)
 	}
 	return append(dst, byte(v>>24), byte(v>>16), byte(v>>8), byte(v)), nil
@@ -50,7 +54,11 @@ func readU32(data []byte) (int, []byte, error) {
 	if len(data) < 4 {
 		return 0, nil, errTruncated
 	}
-	return int(binary.BigEndian.Uint32(data)), data[4:], nil
+	v := binary.BigEndian.Uint32(data)
+	if v > maxU32 { // appendU32 never writes one: keep the encoding canonical
+		return 0, nil, fmt.Errorf("contract: length %d exceeds u32", v)
+	}
+	return int(v), data[4:], nil
 }
 
 func readBytes(data []byte, n int) ([]byte, []byte, error) {

@@ -110,7 +110,8 @@ func UnmarshalIndex(data []byte) (*Index, error) {
 	}
 	n := binary.BigEndian.Uint64(data)
 	data = data[8:]
-	if uint64(len(data)) != n*2*EntrySize {
+	// Divide rather than multiply: n*2*EntrySize wraps for a hostile n.
+	if len(data)%(2*EntrySize) != 0 || n != uint64(len(data)/(2*EntrySize)) {
 		return nil, errors.New("store: index encoding length mismatch")
 	}
 	ix := &Index{m: make(map[Label]Payload, n)}

@@ -325,7 +325,8 @@ func (cs *CloudServer) cloudSnapshotState() ([]byte, error) {
 
 // EnableDurability gives the chain server a data directory. Recovery
 // imports the newest snapshot into every validator node through full block
-// validation, then replays journaled blocks above the restored height; from
+// validation, then replays journaled blocks above the restored height — a
+// block that fails validation is an error naming it, never skipped; from
 // then on every sealed block is journaled before the step is acknowledged.
 // Call before Listen.
 func (cs *ChainServer) EnableDurability(opts DurabilityOptions) (*RecoveryStats, error) {
@@ -347,13 +348,14 @@ func (cs *ChainServer) EnableDurability(opts DurabilityOptions) (*RecoveryStats,
 			}
 		}
 	}
+	// A block is journaled only after it sealed, so one that no longer
+	// validates means a corrupt journal or one written under other
+	// consensus rules (a different state-root definition, say). Skipping
+	// it, as the cloud does with a rejected update, would bring the chain
+	// up at a lower height and let it fork its own history.
 	for _, e := range rec.Entries {
 		if err := cs.replayBlockRecord(e); err != nil {
-			stats.Skipped++
-			if opts.Logger != nil {
-				opts.Logger.Warn("skipping unreplayable block record", "err", err)
-			}
-			continue
+			return nil, fmt.Errorf("wire: chain journal in %s does not replay: %w", opts.Dir, err)
 		}
 		stats.Replayed++
 	}
@@ -379,7 +381,7 @@ func (cs *ChainServer) replayBlockRecord(rec []byte) error {
 			continue
 		}
 		if err := node.ImportBlock(block); err != nil {
-			return fmt.Errorf("wire: replay block %d: %w", block.Header.Number, err)
+			return fmt.Errorf("block %d: %w", block.Header.Number, err)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"strings"
 	"testing"
 
 	"slicer/internal/chain"
@@ -462,5 +463,62 @@ func TestChainServerDurableRestart(t *testing.T) {
 	})
 	if err != nil || !rc.Status {
 		t.Fatalf("post-recovery tx: %+v, %v", rc, err)
+	}
+}
+
+// TestChainServerRefusesUnreplayableJournal: a journaled block that no
+// longer validates (here: one flipped bit in its state root, which is also
+// what a journal sealed under another state-root definition looks like)
+// must fail recovery by name, not be skipped — skipping would bring the
+// chain up at genesis, ready to fork its own history.
+func TestChainServerRefusesUnreplayableJournal(t *testing.T) {
+	alice := chain.AddressFromString("alice")
+	vals := []chain.Address{chain.AddressFromString("v0"), chain.AddressFromString("v1")}
+	network := func() *chain.Network {
+		n, err := chain.NewNetwork(chain.NewRegistry(), vals, map[chain.Address]uint64{alice: 10_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+
+	sealer := network()
+	if err := sealer.SubmitTx(&chain.Transaction{From: alice, To: chain.AddressFromString("bob"), Value: 100, GasLimit: 100_000}); err != nil {
+		t.Fatal(err)
+	}
+	block, err := sealer.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	block.Header.StateRoot[0] ^= 1
+	rec, err := chain.EncodeBlock(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fsys := durable.NewMemFS()
+	empty, err := durable.Recover(fsys, "chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := durable.OpenLog(fsys, "chain", durable.LogOptions{Start: empty.NextIndex})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := NewChainServer(network())
+	defer srv.Close()
+	stats, err := srv.EnableDurability(DurabilityOptions{FS: fsys, Dir: "chain"})
+	if err == nil {
+		t.Fatalf("recovery skipped an invalid block: %+v", stats)
+	}
+	if !strings.Contains(err.Error(), "block 1") {
+		t.Errorf("error does not name the block: %v", err)
 	}
 }

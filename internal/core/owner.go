@@ -140,7 +140,8 @@ func (o *Owner) AccumulatorPub() *accumulator.PublicParams { return o.acc.Public
 func (o *Owner) TrapdoorPub() *trapdoor.PublicKey { return &o.tsk.PublicKey }
 
 // ClientState exports the keys and trapdoor states for an authorized data
-// user. Each call returns an independent copy of T.
+// user. Each call returns an independent copy of T. Like StatesSnapshot it
+// only reads the owner: Build, Insert and UnmarshalOwner leave T frozen.
 func (o *Owner) ClientState() *ClientState {
 	return &ClientState{
 		Params:    o.params,
@@ -201,6 +202,9 @@ func derivePrimes(commits []primeInput) []*big.Int {
 // StatesSnapshot exports a copy of the current trapdoor dictionary T, which
 // the owner redistributes to users after each Insert (Algorithm 2 line 28).
 func (o *Owner) StatesSnapshot() *store.TrapdoorStates { return o.states.Clone() }
+
+// StatesLen reports how many keywords T tracks.
+func (o *Owner) StatesLen() int { return o.states.Len() }
 
 // keywordsOf returns every index keyword a record contributes: per
 // attribute, the equality keyword plus the b SORE ciphertext tuples.
@@ -327,6 +331,7 @@ func (o *Owner) Build(db []Record) (*UpdateOutput, error) {
 
 	indexStart := statsNow()
 	commits := make([]primeInput, 0, len(keywords))
+	defer o.states.Freeze()
 	for _, wStr := range keywords {
 		w := []byte(wStr)
 		t0, err := o.tsk.Sample()
@@ -385,6 +390,7 @@ func (o *Owner) Insert(db []Record) (*UpdateOutput, error) {
 
 	indexStart := statsNow()
 	commits := make([]primeInput, 0, len(keywords))
+	defer o.states.Freeze()
 	for _, wStr := range keywords {
 		w := []byte(wStr)
 		g1, g2 := o.g1g2(w)

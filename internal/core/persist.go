@@ -128,6 +128,7 @@ func UnmarshalOwner(data []byte) (*Owner, error) {
 	for _, rec := range st.States {
 		o.states.Put(rec.Keyword, store.TrapdoorState{Trapdoor: rec.Trapdoor, Epoch: rec.Epoch})
 	}
+	o.states.Freeze()
 	for _, rec := range st.SetHashes {
 		h, err := mhash.Unmarshal(rec.Hash)
 		if err != nil {

@@ -84,21 +84,27 @@ func (u *User) Token(q Query) (*SearchRequest, error) {
 		return nil, fmt.Errorf("core: unsupported operator %v", q.Op)
 	}
 
+	return u.tokensFor(keywords), nil
+}
+
+// tokensFor emits one search token per keyword present in T. A token owns
+// its trapdoor bytes: T's slices are shared with the owner and with every
+// other snapshot, and a token travels to code that may write to it.
+func (u *User) tokensFor(keywords [][]byte) *SearchRequest {
 	req := &SearchRequest{}
 	for _, w := range keywords {
 		st, ok := u.states.Get(w)
 		if !ok {
 			continue
 		}
-		g1, g2 := u.gKey.EvalConcat(w, []byte{1}), u.gKey.EvalConcat(w, []byte{2})
 		req.Tokens = append(req.Tokens, SearchToken{
-			Trapdoor: st.Trapdoor,
+			Trapdoor: append([]byte(nil), st.Trapdoor...),
 			Epoch:    st.Epoch,
-			G1:       g1,
-			G2:       g2,
+			G1:       u.gKey.EvalConcat(w, []byte{1}),
+			G2:       u.gKey.EvalConcat(w, []byte{2}),
 		})
 	}
-	return req, nil
+	return req
 }
 
 // RangeTokens generates search tokens for an inclusive range [lo, hi] via
@@ -113,21 +119,8 @@ func (u *User) RangeTokens(attr string, lo, hi uint64) (*SearchRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := &SearchRequest{}
-	for _, w := range sore.CoverKeywords([]byte(attr), u.params.Bits, nodes) {
-		st, ok := u.states.Get(w)
-		if !ok {
-			continue // no record carries this prefix
-		}
-		g1, g2 := u.gKey.EvalConcat(w, []byte{1}), u.gKey.EvalConcat(w, []byte{2})
-		req.Tokens = append(req.Tokens, SearchToken{
-			Trapdoor: st.Trapdoor,
-			Epoch:    st.Epoch,
-			G1:       g1,
-			G2:       g2,
-		})
-	}
-	return req, nil
+	// A node no record carries has no keyword in T and yields no token.
+	return u.tokensFor(sore.CoverKeywords([]byte(attr), u.params.Bits, nodes)), nil
 }
 
 // Decrypt recovers the matching record IDs from a (verified) search

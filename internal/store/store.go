@@ -135,46 +135,108 @@ type TrapdoorState struct {
 
 // TrapdoorStates is the dictionary T, keyed by raw keyword bytes. The data
 // owner maintains it and ships copies to authorized data users.
+//
+// It is a persistent dictionary: writes land in head, which only this value
+// can reach; Freeze moves head into gens, a list of generations (oldest
+// first, a newer one shadowing the older) that clones share and nobody
+// writes again. Sharing is what makes Clone cost nothing per keyword.
 type TrapdoorStates struct {
-	m map[string]TrapdoorState
+	head map[string]TrapdoorState
+	gens []map[string]TrapdoorState
+	n    int // distinct keywords over head and gens
 }
 
 // NewTrapdoorStates returns an empty T.
-func NewTrapdoorStates() *TrapdoorStates {
-	return &TrapdoorStates{m: make(map[string]TrapdoorState)}
+func NewTrapdoorStates() *TrapdoorStates { return &TrapdoorStates{} }
+
+// Get returns the state for a keyword, if present. The Trapdoor slice is
+// the dictionary's own and may be shared with clones: read it, never write
+// it.
+func (t *TrapdoorStates) Get(keyword []byte) (TrapdoorState, bool) {
+	return t.find(keyword, 0)
 }
 
-// Get returns the state for a keyword, if present.
-func (t *TrapdoorStates) Get(keyword []byte) (TrapdoorState, bool) {
-	st, ok := t.m[string(keyword)]
-	return st, ok
+// find probes head, then the generations from the newest down to gens[from].
+func (t *TrapdoorStates) find(keyword []byte, from int) (TrapdoorState, bool) {
+	if st, ok := t.head[string(keyword)]; ok {
+		return st, true
+	}
+	for i := len(t.gens) - 1; i >= from; i-- {
+		if st, ok := t.gens[i][string(keyword)]; ok {
+			return st, true
+		}
+	}
+	return TrapdoorState{}, false
 }
 
 // Put stores a keyword's state, copying the trapdoor bytes.
 func (t *TrapdoorStates) Put(keyword []byte, st TrapdoorState) {
+	if _, ok := t.Get(keyword); !ok {
+		t.n++
+	}
+	if t.head == nil {
+		t.head = make(map[string]TrapdoorState)
+	}
 	cp := make([]byte, len(st.Trapdoor))
 	copy(cp, st.Trapdoor)
-	t.m[string(keyword)] = TrapdoorState{Trapdoor: cp, Epoch: st.Epoch}
+	t.head[string(keyword)] = TrapdoorState{Trapdoor: cp, Epoch: st.Epoch}
 }
 
 // Len returns the number of tracked keywords.
-func (t *TrapdoorStates) Len() int { return len(t.m) }
+func (t *TrapdoorStates) Len() int { return t.n }
 
-// Clone deep-copies T (the owner hands an independent copy to each user).
-func (t *TrapdoorStates) Clone() *TrapdoorStates {
-	out := NewTrapdoorStates()
-	for k, st := range t.m {
-		out.Put([]byte(k), st)
+// Freeze makes the writes since the last Freeze shareable. Until the next
+// Put, every other method only reads t, so a writer that freezes after each
+// batch may be cloned from several goroutines at once.
+//
+// The head becomes the newest generation, and while the newest generation
+// is at least half the size of the one before it the two are merged into a
+// new map (the logarithmic method): sizes at least double towards the
+// oldest, so a lookup probes O(log |T|) maps, and a keyword is copied again
+// only into a map at least 1.5x the one it leaves, O(log |T|) times.
+func (t *TrapdoorStates) Freeze() {
+	if len(t.head) == 0 {
+		return
 	}
-	return out
+	// Clones alias the old backing array: capping it makes append copy.
+	gens := append(t.gens[:len(t.gens):len(t.gens)], t.head)
+	t.head = nil
+	for n := len(gens); n >= 2 && 2*len(gens[n-1]) >= len(gens[n-2]); n = len(gens) {
+		merged := make(map[string]TrapdoorState, len(gens[n-2])+len(gens[n-1]))
+		for _, g := range gens[n-2:] {
+			for k, st := range g {
+				merged[k] = st
+			}
+		}
+		gens = append(gens[:n-2], merged)
+	}
+	t.gens = gens
+}
+
+// Clone returns an independent copy of T (the owner hands one to each user)
+// that shares every frozen generation with t.
+func (t *TrapdoorStates) Clone() *TrapdoorStates {
+	t.Freeze()
+	return &TrapdoorStates{gens: t.gens, n: t.n}
 }
 
 // Range calls f for every (keyword, state) pair until f returns false.
 // Iteration order is unspecified.
 func (t *TrapdoorStates) Range(f func(keyword []byte, st TrapdoorState) bool) {
-	for k, st := range t.m {
+	for k, st := range t.head {
 		if !f([]byte(k), st) {
 			return
+		}
+	}
+	for i, g := range t.gens {
+		for k, st := range g {
+			keyword := []byte(k)
+			if _, shadowed := t.find(keyword, i+1); shadowed {
+				continue
+			}
+			if !f(keyword, st) {
+				return
+			}
 		}
 	}
 }
@@ -182,9 +244,10 @@ func (t *TrapdoorStates) Range(f func(keyword []byte, st TrapdoorState) bool) {
 // SizeBytes returns the logical storage footprint of T.
 func (t *TrapdoorStates) SizeBytes() int {
 	total := 0
-	for k, st := range t.m {
-		total += len(k) + len(st.Trapdoor) + 8
-	}
+	t.Range(func(keyword []byte, st TrapdoorState) bool {
+		total += len(keyword) + len(st.Trapdoor) + 8
+		return true
+	})
 	return total
 }
 

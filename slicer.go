@@ -25,7 +25,6 @@ import (
 
 	"slicer/internal/core"
 	"slicer/internal/obs"
-	"slicer/internal/store"
 )
 
 // Re-exported protocol types. The core package holds the implementations;
@@ -433,9 +432,7 @@ func (s *Scheme) ConjunctiveSearch(conds []Condition) ([]uint64, error) {
 }
 
 // StatesLen reports how many keywords the deployment tracks (diagnostics).
-func (s *Scheme) StatesLen() int { return statesLen(s.owner.StatesSnapshot()) }
-
-func statesLen(t *store.TrapdoorStates) int { return t.Len() }
+func (s *Scheme) StatesLen() int { return s.owner.StatesLen() }
 
 func intersectSorted(a, b []uint64) []uint64 {
 	out := make([]uint64, 0, min(len(a), len(b)))

@@ -16,8 +16,12 @@
 // large builds have hundreds of thousands of keywords), so composites are
 // first discarded by an incremental trial-division sieve: the candidate's
 // residues modulo all small primes are computed once and advanced by +2 per
-// probe in machine words; only survivors run a full probabilistic primality
-// test.
+// probe in machine words. A sieve survivor then takes a strong-probable-prime
+// test to base 2, also in machine words (sprp2): failing it proves the
+// candidate composite, and math/big's ProbablyPrime runs the same round
+// first, so only what ProbablyPrime would reject is rejected. Acceptance is
+// still ProbablyPrime's alone, which in effect runs once per prime instead of
+// once per survivor.
 package hprime
 
 import (
@@ -40,21 +44,28 @@ const PrimeBytes = PrimeBits / 8
 // Baillie–PSW test (which has no known composite passing it).
 const millerRabinRounds = 2
 
-// smallPrimes drives the trial-division pre-sieve (odd primes only — the
-// candidates are always odd).
-var smallPrimes = sieve(1 << 11)
+// smallPrimes drives the trial-division pre-sieve: the 308 odd primes below
+// sieveLimit (the candidates are always odd). An array, so that a probe
+// loop's residue table lives on its stack.
+var smallPrimes = sieve()
 
-func sieve(limit int) []uint64 {
-	composite := make([]bool, limit)
-	var primes []uint64
-	for p := 3; p < limit; p += 2 {
+const sieveLimit = 1 << 11
+
+func sieve() (primes [308]uint64) {
+	composite := make([]bool, sieveLimit)
+	n := 0
+	for p := 3; p < sieveLimit; p += 2 {
 		if composite[p] {
 			continue
 		}
-		primes = append(primes, uint64(p))
-		for m := p * p; m < limit; m += 2 * p {
+		primes[n] = uint64(p)
+		n++
+		for m := p * p; m < sieveLimit; m += 2 * p {
 			composite[m] = true
 		}
+	}
+	if n != len(primes) {
+		panic("hprime: smallPrimes is sized for another sieveLimit")
 	}
 	return primes
 }
@@ -89,24 +100,27 @@ func HashCount(data []byte) (*big.Int, int) {
 	if e, ok := cache.lookup(key); ok {
 		return new(big.Int).Set(e.prime), e.probes
 	}
-	cand := new(big.Int).SetBytes(buf[:PrimeBytes])
-	cand.SetBit(cand, PrimeBits-1, 1) // force full width
-	cand.SetBit(cand, 0, 1)           // force odd
+	// The candidate: the digest's first two words, top bit forced (so every
+	// output has full width) and odd.
+	hi := binary.BigEndian.Uint64(buf) | 1<<63
+	lo := binary.BigEndian.Uint64(buf[8:]) | 1
+	prime, probes := probe(hi, lo)
+	cache.store(key, cachedPrime{prime: new(big.Int).Set(prime), probes: probes})
+	return prime, probes
+}
 
-	// Seed the incremental residue table with word arithmetic — folding the
-	// fixed-width candidate 64 bits at a time through bits.Rem64 (the running
-	// remainder is < p, as Rem64 requires). A big.Int division per sieve
-	// prime here would cost more than the ProbablyPrime calls the sieve
-	// saves.
-	var candWords [PrimeBytes]byte
-	cand.FillBytes(candWords[:])
-	residues := make([]uint64, len(smallPrimes))
+// probe walks the odd numbers from the candidate hi·2^64 + lo (odd, bit 127
+// set) upward to the first that ProbablyPrime accepts, and counts them.
+func probe(hi, lo uint64) (*big.Int, int) {
+	cand := new(big.Int).SetUint64(hi)
+	cand.Lsh(cand, 64).Or(cand, new(big.Int).SetUint64(lo))
+
+	// Seed the incremental residue table with word arithmetic (the running
+	// remainder is < p, as bits.Rem64 requires). A big.Int division per sieve
+	// prime here would cost more than the primality tests the sieve saves.
+	var residues [len(smallPrimes)]uint64
 	for i, p := range smallPrimes {
-		var rem uint64
-		for off := 0; off < PrimeBytes; off += 8 {
-			rem = bits.Rem64(rem, binary.BigEndian.Uint64(candWords[off:]), p)
-		}
-		residues[i] = rem
+		residues[i] = bits.Rem64(hi%p, lo, p)
 	}
 
 	two := big.NewInt(2)
@@ -114,17 +128,21 @@ func HashCount(data []byte) (*big.Int, int) {
 	for {
 		probes++
 		smooth := false
-		for i := range smallPrimes {
-			if residues[i] == 0 {
+		for _, r := range residues {
+			if r == 0 {
 				smooth = true
 				break
 			}
 		}
-		if !smooth && cand.ProbablyPrime(millerRabinRounds) {
-			cache.store(key, cachedPrime{prime: new(big.Int).Set(cand), probes: probes})
+		// hi's top bit is clear only once the probes have carried past 2^128:
+		// the words no longer hold cand and the filter steps aside.
+		if !smooth && (hi>>63 == 0 || sprp2(hi, lo)) && cand.ProbablyPrime(millerRabinRounds) {
 			return cand, probes
 		}
 		cand.Add(cand, two)
+		if lo += 2; lo < 2 {
+			hi++
+		}
 		for i, p := range smallPrimes {
 			residues[i] += 2
 			if residues[i] >= p {
@@ -132,6 +150,105 @@ func HashCount(data []byte) (*big.Int, int) {
 			}
 		}
 	}
+}
+
+// sprp2 reports whether n = hi·2^64 + lo, odd and with bit 127 set, is a
+// strong probable prime to base 2: with n-1 = d·2^s and d odd, whether
+// 2^d = ±1 or 2^(d·2^r) = -1 (mod n) for some 0 < r < s. Every prime is; a
+// number that is not has been proven composite. It computes in Montgomery
+// form with R = 2^128 on machine words and allocates nothing.
+func sprp2(hi, lo uint64) bool {
+	n := newModulus(hi, lo)
+
+	// R mod n = 2^128 - n, because 2^127 <= n; n is odd, so no borrow.
+	oneHi, oneLo := ^hi, -lo
+	minusLo, borrow := bits.Sub64(lo, oneLo, 0)
+	minusHi, _ := bits.Sub64(hi, oneHi, borrow)
+
+	// Left to right over the bits of n-1 = hi·2^64 + (lo-1), stopping above
+	// its s trailing zeros: square, and double where the bit is set, since
+	// multiplying by the base 2 is a doubling.
+	eHi, eLo := hi, lo-1
+	s := bits.TrailingZeros64(eLo)
+	if eLo == 0 {
+		s = 64 + bits.TrailingZeros64(eHi)
+	}
+	xHi, xLo := oneHi, oneLo
+	for i := 127; i >= s; i-- {
+		xHi, xLo = n.square(xHi, xLo)
+		bit := eLo >> uint(i) & 1
+		if i >= 64 {
+			bit = eHi >> uint(i-64) & 1
+		}
+		if bit != 0 {
+			xHi, xLo = n.reduce(xHi>>63, xHi<<1|xLo>>63, xLo<<1)
+		}
+	}
+	if xHi == oneHi && xLo == oneLo || xHi == minusHi && xLo == minusLo {
+		return true
+	}
+	for ; s > 1; s-- {
+		xHi, xLo = n.square(xHi, xLo)
+		if xHi == minusHi && xLo == minusLo {
+			return true
+		}
+	}
+	return false
+}
+
+// modulus is an odd 128-bit n with bit 127 set, with -n^-1 mod 2^64.
+type modulus struct{ hi, lo, negInv uint64 }
+
+func newModulus(hi, lo uint64) modulus {
+	// Newton's iteration: an odd lo is its own inverse mod 8, and each step
+	// doubles the number of correct bits.
+	inv := lo
+	for i := 0; i < 5; i++ {
+		inv *= 2 - lo*inv
+	}
+	return modulus{hi: hi, lo: lo, negInv: -inv}
+}
+
+// reduce returns carry·2^128 + hi·2^64 + lo, which is below 2n, modulo n.
+func (n modulus) reduce(carry, hi, lo uint64) (uint64, uint64) {
+	l, borrow := bits.Sub64(lo, n.lo, 0)
+	h, borrow := bits.Sub64(hi, n.hi, borrow)
+	if carry != 0 || borrow == 0 {
+		return h, l
+	}
+	return hi, lo
+}
+
+// square returns a²/R mod n for a < n: the four-word square, then one
+// Montgomery step per low word.
+func (n modulus) square(aHi, aLo uint64) (uint64, uint64) {
+	t1, t0 := bits.Mul64(aLo, aLo)
+	t3, t2 := bits.Mul64(aHi, aHi)
+	crossHi, crossLo := bits.Mul64(aHi, aLo) // counts twice, at 2^64
+	var c uint64
+	t1, c = bits.Add64(t1, crossLo<<1, 0)
+	t2, c = bits.Add64(t2, crossHi<<1|crossLo>>63, c)
+	t3, _ = bits.Add64(t3, crossHi>>63, c) // a² < 2^256
+
+	t1, t2, c = n.step(t0, t1, t2)
+	t3, top := bits.Add64(t3, c, 0)
+	t2, t3, c = n.step(t1, t2, t3)
+	return n.reduce(top+c, t3, t2)
+}
+
+// step adds to the three-word t the multiple of n that clears t0 and drops
+// that word: (t + m·n)/2^64 with m = t0·(-n^-1) mod 2^64, two words and a
+// carry.
+func (n modulus) step(t0, t1, t2 uint64) (r0, r1, carry uint64) {
+	m := t0 * n.negInv
+	h0, l0 := bits.Mul64(m, n.lo)
+	h1, l1 := bits.Mul64(m, n.hi)
+	_, c := bits.Add64(t0, l0, 0)
+	r0, c = bits.Add64(t1, h0, c)
+	r1, carry = bits.Add64(t2, h1, c)
+	r0, c = bits.Add64(r0, l1, 0)
+	r1, c = bits.Add64(r1, 0, c)
+	return r0, r1, carry + c
 }
 
 // HashConcat maps the concatenation of several parts to a prime without

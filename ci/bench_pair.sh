@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# ROADMAP's "how to state a claim" as a command: one workload, SEEDS runs of
+# PARENT_REF and of the working tree, interleaved and with the side that goes
+# first swapped every seed, then the benchmark's own --compare of the two
+# result sets. benchmark/runset.sh cannot do this: it runs one commit's
+# seeds back to back, so the box's drift lands on one side. The parent is
+# exported with git archive under .bench_build/pair/ (already ignored, and
+# wiped on the next call); both sides build themselves through run.sh.
+# TRACE=1 runs the traced pairs (per-layer metrics) instead.
+#
+# --compare stops at the first workload of BENCHMARK.json that a result set
+# lacks, so it is run on the built program from .bench_build/pair/, beside a
+# copy of the contract cut down to WORKLOAD (the program looks for
+# BENCHMARK.json in its working directory).
+#
+#	bash ci/bench_pair.sh PARENT_REF WORKLOAD [SEEDS=3]
+set -euo pipefail
+
+parent_ref="$1"; workload="$2"; seeds="${3:-3}"
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+pair="$root/.bench_build/pair"
+rm -rf "$pair"
+mkdir -p "$pair/parent"
+git -C "$root" archive "$parent_ref" | tar -x -C "$pair/parent"
+seconds="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$root/BENCHMARK.json")"
+
+run() { # run SIDE CHECKOUT: one run of the current seed, appended to SIDE.jsonl
+	echo "== seed $seed $1"
+	bash "$2/benchmark/run.sh" --workload "$workload" --seed "$seed" --seconds "$seconds" \
+		--trace "${TRACE:-0}" --out "$pair/$1.jsonl" | grep -E '^(insert|search|setup|peak)' || true
+}
+for ((seed = 1; seed <= seeds; seed++)); do
+	if ((seed % 2)); then
+		run parent "$pair/parent"; run change "$root"
+	else
+		run change "$root"; run parent "$pair/parent"
+	fi
+done
+python3 -c 'import json,sys
+bf = json.load(open(sys.argv[1]))
+bf["workloads"] = [w for w in bf["workloads"] if w["name"] == sys.argv[2]]
+json.dump(bf, open(sys.argv[3], "w"))' "$root/BENCHMARK.json" "$workload" "$pair/BENCHMARK.json"
+cd "$pair" && "$root/.bench_build/slicer-benchmark" --compare parent.jsonl change.jsonl

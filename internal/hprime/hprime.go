@@ -112,14 +112,13 @@ func HashCount(data []byte) (*big.Int, int) {
 // probe walks the odd numbers from the candidate hi·2^64 + lo (odd, bit 127
 // set) upward to the first that ProbablyPrime accepts, and counts them.
 func probe(hi, lo uint64) (*big.Int, int) {
-	cand := new(big.Int).SetUint64(hi)
-	cand.Lsh(cand, 64).Or(cand, new(big.Int).SetUint64(lo))
+	cand := fromWords(hi, lo)
 
 	// Seed the incremental residue table with word arithmetic (the running
 	// remainder is < p, as bits.Rem64 requires). A big.Int division per sieve
 	// prime here would cost more than the primality tests the sieve saves.
-	var residues [len(smallPrimes)]uint64
-	for i, p := range smallPrimes {
+	var residues [len(smallPrimes)]uint64 // ranged over as slices: ranging over an array copies it
+	for i, p := range smallPrimes[:] {
 		residues[i] = bits.Rem64(hi%p, lo, p)
 	}
 
@@ -128,7 +127,7 @@ func probe(hi, lo uint64) (*big.Int, int) {
 	for {
 		probes++
 		smooth := false
-		for _, r := range residues {
+		for _, r := range residues[:] {
 			if r == 0 {
 				smooth = true
 				break
@@ -143,13 +142,19 @@ func probe(hi, lo uint64) (*big.Int, int) {
 		if lo += 2; lo < 2 {
 			hi++
 		}
-		for i, p := range smallPrimes {
+		for i, p := range smallPrimes[:] {
 			residues[i] += 2
 			if residues[i] >= p {
 				residues[i] -= p
 			}
 		}
 	}
+}
+
+// fromWords returns hi·2^64 + lo.
+func fromWords(hi, lo uint64) *big.Int {
+	n := new(big.Int).SetUint64(hi)
+	return n.Lsh(n, 64).Or(n, new(big.Int).SetUint64(lo))
 }
 
 // sprp2 reports whether n = hi·2^64 + lo, odd and with bit 127 set, is a
@@ -176,13 +181,10 @@ func sprp2(hi, lo uint64) bool {
 	xHi, xLo := oneHi, oneLo
 	for i := 127; i >= s; i-- {
 		xHi, xLo = n.square(xHi, xLo)
-		bit := eLo >> uint(i) & 1
-		if i >= 64 {
-			bit = eHi >> uint(i-64) & 1
-		}
-		if bit != 0 {
+		if eHi>>63 != 0 {
 			xHi, xLo = n.reduce(xHi>>63, xHi<<1|xLo>>63, xLo<<1)
 		}
+		eHi, eLo = eHi<<1|eLo>>63, eLo<<1
 	}
 	if xHi == oneHi && xLo == oneLo || xHi == minusHi && xLo == minusLo {
 		return true

@@ -131,9 +131,10 @@ func referenceHashCount(data []byte) (*big.Int, int) {
 	return referenceProbe(cand)
 }
 
-func fromWords(hi, lo uint64) *big.Int {
-	n := new(big.Int).SetUint64(hi)
-	return n.Lsh(n, 64).Or(n, new(big.Int).SetUint64(lo))
+// toWords splits n < 2^128 into its two words, the inverse of fromWords.
+func toWords(n *big.Int) (hi, lo uint64) {
+	b := n.FillBytes(make([]byte, PrimeBytes))
+	return binary.BigEndian.Uint64(b), binary.BigEndian.Uint64(b[8:])
 }
 
 // TestSieveAgreesWithDirectProbing requires that neither the sieve nor the
@@ -206,8 +207,7 @@ func TestSprp2MatchesBigOracle(t *testing.T) {
 			k := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 127-s))
 			k.SetBit(k, int(127-s), 1).SetBit(k, 0, 1)
 			n := k.Lsh(k, s).SetBit(k, 0, 1)
-			words := n.FillBytes(make([]byte, PrimeBytes))
-			if check(binary.BigEndian.Uint64(words), binary.BigEndian.Uint64(words[8:])) {
+			if check(toWords(n)) {
 				break
 			}
 		}
@@ -244,8 +244,7 @@ func TestMontgomerySquareMatchesBig(t *testing.T) {
 			a.Sub(n, big.NewInt(int64(rng.Intn(4)+1)))
 		}
 		a.Mod(a, n)
-		words := a.FillBytes(make([]byte, PrimeBytes))
-		gotHi, gotLo := newModulus(hi, lo).square(binary.BigEndian.Uint64(words), binary.BigEndian.Uint64(words[8:]))
+		gotHi, gotLo := newModulus(hi, lo).square(toWords(a))
 		want := new(big.Int).Mul(a, a)
 		want.Mul(want, new(big.Int).ModInverse(rInv, n)).Mod(want, n)
 		if got := fromWords(gotHi, gotLo); got.Cmp(want) != 0 {

@@ -16,23 +16,30 @@ const modelKeys = 300 // small enough that programs overwrite and shadow
 
 func modelKey(i int) []byte { return []byte{'w', byte(i >> 8), byte(i)} }
 
+// checkKey compares Len and Get of one keyword, present or not, with the
+// model, and returns the model's entry.
+func (m *statesModel) checkKey(t *testing.T, when string, w []byte) (TrapdoorState, bool) {
+	t.Helper()
+	if got := m.ts.Len(); got != len(m.want) {
+		t.Fatalf("%s: Len = %d, want %d", when, got, len(m.want))
+	}
+	got, ok := m.ts.Get(w)
+	want, wantOK := m.want[string(w)]
+	if ok != wantOK || got.Epoch != want.Epoch || !bytes.Equal(got.Trapdoor, want.Trapdoor) {
+		t.Fatalf("%s: Get(%x) = %+v, %v; want %+v, %v", when, w, got, ok, want, wantOK)
+	}
+	return want, wantOK
+}
+
 // check compares every observable of ts with the model: Len, Get over the
 // whole key space (absent keys included), Range visiting each live keyword
 // exactly once with its newest state, and SizeBytes.
 func (m *statesModel) check(t *testing.T, when string) {
 	t.Helper()
-	if got := m.ts.Len(); got != len(m.want) {
-		t.Fatalf("%s: Len = %d, want %d", when, got, len(m.want))
-	}
 	size := 0
 	for i := 0; i < modelKeys; i++ {
 		w := modelKey(i)
-		got, ok := m.ts.Get(w)
-		want, wantOK := m.want[string(w)]
-		if ok != wantOK || got.Epoch != want.Epoch || !bytes.Equal(got.Trapdoor, want.Trapdoor) {
-			t.Fatalf("%s: Get(%x) = %+v, %v; want %+v, %v", when, w, got, ok, want, wantOK)
-		}
-		if wantOK {
+		if want, ok := m.checkKey(t, when, w); ok {
 			size += len(w) + len(want.Trapdoor) + 8
 		}
 	}
@@ -79,16 +86,19 @@ func runStatesModel(t *testing.T, prog []byte) {
 		m := dicts[int(op>>4)%len(dicts)]
 		switch op % 8 {
 		case 0: // Clone; beyond eight dictionaries the oldest is dropped
-			m.ts.Freeze()
-			m.checkFrozen(t, "origin before Clone")
+			frozen := a&1 == 0 // half the clones are of a dictionary frozen beforehand
+			if frozen {
+				m.ts.Freeze()
+			}
 			gens := len(m.ts.gens)
 			c := &statesModel{ts: m.ts.Clone(), want: make(map[string]TrapdoorState, len(m.want))}
 			for k, st := range m.want {
 				c.want[k] = st
 			}
-			if len(m.ts.gens) != gens {
+			if frozen && len(m.ts.gens) != gens {
 				t.Fatal("Clone of a frozen dictionary wrote to it")
 			}
+			m.checkFrozen(t, "origin after Clone")
 			c.checkFrozen(t, "clone")
 			c.check(t, "clone")
 			m.check(t, "origin after Clone")
@@ -108,15 +118,8 @@ func runStatesModel(t *testing.T, prog []byte) {
 			for i := range arg {
 				arg[i] ^= 0xff // Put must have copied it
 			}
-			for _, d := range dicts {
-				got, ok := d.ts.Get(w)
-				want, wantOK := d.want[string(w)]
-				if ok != wantOK || got.Epoch != want.Epoch || !bytes.Equal(got.Trapdoor, want.Trapdoor) {
-					t.Fatalf("step %d: after Put(%x) a dictionary reads %+v, %v; want %+v, %v", pc/3, w, got, ok, want, wantOK)
-				}
-				if d.ts.Len() != len(d.want) {
-					t.Fatalf("step %d: Len = %d, want %d", pc/3, d.ts.Len(), len(d.want))
-				}
+			for _, d := range dicts { // the written one and every relative
+				d.checkKey(t, "after a Put", w)
 			}
 		}
 	}

@@ -3,6 +3,10 @@
 // trapdoor state dictionary T kept by the data owner/user, and the set-hash
 // dictionary S kept by the data owner. It also tracks storage footprints so
 // the evaluation harness can reproduce the paper's storage-cost figures.
+//
+// T is handed to every user after every insert, so it is the one container
+// built to be copied: a TrapdoorStates clone shares all frozen storage with
+// its origin and costs nothing per keyword (see TrapdoorStates).
 package store
 
 import (
@@ -191,9 +195,11 @@ func (t *TrapdoorStates) Len() int { return t.n }
 //
 // The head becomes the newest generation, and while the newest generation
 // is at least half the size of the one before it the two are merged into a
-// new map (the logarithmic method): sizes at least double towards the
-// oldest, so a lookup probes O(log |T|) maps, and a keyword is copied again
-// only into a map at least 1.5x the one it leaves, O(log |T|) times.
+// new map (the logarithmic method). That leaves every generation more than
+// twice the next newer one, so a lookup probes O(log |T|) maps; and a merge
+// copies at most three entries per entry of its newer side, into a map no
+// smaller than its older side, which comes to O(log |T|) copies per Put,
+// amortised.
 func (t *TrapdoorStates) Freeze() {
 	if len(t.head) == 0 {
 		return

@@ -54,6 +54,16 @@ func TestSchemeInsertThenSearch(t *testing.T) {
 			t.Fatalf("post-insert Search(%v %d) mismatch", q.Op, q.Value)
 		}
 	}
+
+	// A value that is already indexed advances the epochs of its keywords
+	// and adds none: StatesLen counts keywords, not writes.
+	before := scheme.StatesLen()
+	if err := scheme.Insert([]Record{NewRecord(1000, extra[0].Attrs[0].Value)}); err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
+	if got := scheme.StatesLen(); got != before || got == 0 {
+		t.Fatalf("StatesLen = %d after re-inserting an indexed value, was %d", got, before)
+	}
 }
 
 func TestRangeSearch(t *testing.T) {

@@ -2,7 +2,6 @@ package slicer
 
 import (
 	"bytes"
-	"crypto/rand"
 	"encoding/json"
 	"net"
 	"sync/atomic"
@@ -14,6 +13,7 @@ import (
 	"slicer/internal/contract"
 	"slicer/internal/core"
 	"slicer/internal/durable"
+	"slicer/internal/exchange"
 	"slicer/internal/obs"
 	"slicer/internal/wire"
 )
@@ -88,10 +88,10 @@ func proxyConn(client, server net.Conn, tampered *atomic.Int32) {
 	}
 }
 
-// auditRound drives one fair-exchange search over the wire — escrow, cloud
-// search through cloudCli, on-chain submission — journaling the outcome into
-// led the way slicer-cli and Deployment do: KindSettle on success, KindRefund
-// with the full evidence bundle on a failed public verification.
+// auditRound drives one fair-exchange search over the wire — the same
+// exchange.Round slicer-cli runs, with cloudCli as the searching party —
+// journaling into led: KindSettle on success, KindRefund with the full
+// evidence bundle on a failed public verification.
 func auditRound(t *testing.T, led *audit.Ledger, owner *core.Owner, user *core.User,
 	cloudCli *wire.CloudClient, chainCli *wire.ChainClient,
 	contractAddr chain.Address, userAcct, cloudAcct chain.Address,
@@ -101,76 +101,17 @@ func auditRound(t *testing.T, led *audit.Ledger, owner *core.Owner, user *core.U
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, err := contract.TokensHash(req.Tokens)
+	round := exchange.Round{
+		Cloud: cloudCli, Ledger: chainCli,
+		Contract: contractAddr, User: userAcct, CloudAcct: cloudAcct,
+		AccPub: owner.AccumulatorPub(), Ac: owner.Ac(),
+		Audit: led,
+	}
+	res, err := round.Run(req, pay, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("round: %v", err)
 	}
-	var reqID chain.Hash
-	if _, err := rand.Read(reqID[:]); err != nil {
-		t.Fatal(err)
-	}
-	nonce, err := chainCli.Nonce(userAcct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, err := chainCli.Mine(&chain.Transaction{
-		From: userAcct, To: contractAddr, Nonce: nonce, Value: pay,
-		GasLimit: 1_000_000, Data: contract.RequestData(reqID, cloudAcct, th),
-	})
-	if err != nil || !rc.Status {
-		t.Fatalf("escrow: %v %s", err, rc.Err)
-	}
-	led.Log(audit.Event{Kind: audit.KindSearch, Detail: "escrowed"})
-
-	resp, err = cloudCli.Search(req)
-	if err != nil {
-		t.Fatalf("cloud search: %v", err)
-	}
-	submit, err := contract.SubmitData(reqID, owner.AccumulatorPub().Marshal(), owner.Ac(), resp.Results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonce, err = chainCli.Nonce(cloudAcct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subTx := &chain.Transaction{
-		From: cloudAcct, To: contractAddr, Nonce: nonce,
-		GasLimit: 50_000_000, Data: submit,
-	}
-	subTxHash := subTx.Hash()
-	rc, err = chainCli.Mine(subTx)
-	if err != nil || !rc.Status {
-		t.Fatalf("submit: %v %s", err, rc.Err)
-	}
-	if len(rc.ReturnData) == 1 && rc.ReturnData[0] == 1 {
-		led.Log(audit.Event{Kind: audit.KindSettle, Detail: "settled"})
-		return true, resp
-	}
-	ev := &audit.Evidence{
-		Ac:         owner.Ac().Bytes(),
-		AccPub:     owner.AccumulatorPub().Marshal(),
-		TokenIndex: -1,
-		RequestID:  reqID[:],
-		TxHash:     subTxHash[:],
-		GasUsed:    rc.GasUsed,
-		ReturnData: rc.ReturnData,
-	}
-	if b, err := json.Marshal(req); err == nil {
-		ev.Tokens = b
-	}
-	if b, err := json.Marshal(resp); err == nil {
-		ev.Response = b
-	}
-	if verr := core.VerifyResponse(owner.AccumulatorPub(), owner.Ac(), req, resp); verr != nil {
-		if vd, ok := core.AsVerificationError(verr); ok {
-			ev.Phase = vd.Phase
-			ev.TokenIndex = vd.TokenIndex
-		}
-	}
-	led.Log(audit.Event{Kind: audit.KindRefund, Outcome: audit.OutcomeFail,
-		Detail: "refunded", Evidence: ev})
-	return false, resp
+	return res.Settled, res.Response
 }
 
 // TestTamperedResponseLeavesEvidence is the adversarial end-to-end check for
@@ -231,8 +172,11 @@ func TestTamperedResponseLeavesEvidence(t *testing.T) {
 	}
 	defer chainCli.Close()
 	deployRc, err := chainCli.Mine(contract.DeployTx(ownerAcct, 0, owner.AccumulatorPub().Marshal(), owner.Ac(), 50_000_000))
-	if err != nil || !deployRc.Status {
-		t.Fatalf("contract deploy: %v %s", err, deployRc.Err)
+	if err != nil {
+		t.Fatalf("contract deploy: %v", err)
+	}
+	if !deployRc.Status {
+		t.Fatalf("contract deploy reverted: %s", deployRc.Err)
 	}
 	user, err := core.NewUser(owner.ClientState())
 	if err != nil {

@@ -46,7 +46,6 @@ func run() error {
 		dataDir    = flag.String("data-dir", "", "durable data directory: block WAL + snapshots, crash-safe recovery at boot")
 		fsync      = flag.String("fsync", "always", "WAL durability: always, never, or a flush interval like 100ms")
 		snapEvery  = flag.Int("snapshot-every", 0, "fold the chain into a snapshot every N sealed blocks (0: default 256, <0: off)")
-		snapshot   = flag.String("snapshot", "", "deprecated: single-file persistence, replayed at boot and written at shutdown; prefer -data-dir")
 		auditDir   = flag.String("audit-dir", "", `tamper-evident audit ledger directory (default <data-dir>/audit when -data-dir is set; "none" disables)`)
 		admin      = flag.String("admin", "", "optional admin HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof")
 		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -91,35 +90,6 @@ func run() error {
 	network, err := chain.NewNetwork(registry, vals, alloc)
 	if err != nil {
 		return err
-	}
-
-	if *dataDir != "" && *snapshot != "" {
-		return fmt.Errorf("-data-dir and -snapshot are mutually exclusive (migrate by booting once with -snapshot, shutting down, then switching to -data-dir)")
-	}
-
-	// Replay a persisted chain, if any, into every node.
-	if *snapshot != "" {
-		if data, err := os.ReadFile(*snapshot); err == nil {
-			snap, err := chain.UnmarshalSnapshot(data)
-			if err != nil {
-				return fmt.Errorf("parse snapshot: %w", err)
-			}
-			for _, node := range network.Nodes() {
-				restored, err := chain.RestoreNode(chain.Config{
-					Identity:     node.Identity(),
-					Registry:     registry,
-					Validators:   vals,
-					GenesisAlloc: alloc,
-				}, snap)
-				if err != nil {
-					return fmt.Errorf("replay snapshot: %w", err)
-				}
-				*node = *restored
-			}
-			fmt.Printf("replayed %d blocks from %s\n", network.Leader().Height(), *snapshot)
-		} else if !os.IsNotExist(err) {
-			return fmt.Errorf("read snapshot: %w", err)
-		}
 	}
 
 	srv := wire.NewChainServer(network)
@@ -239,16 +209,5 @@ func run() error {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	fmt.Println("slicer-chain: shutting down")
-
-	if *snapshot != "" {
-		data, err := network.Leader().ExportSnapshot().Marshal()
-		if err != nil {
-			return fmt.Errorf("export snapshot: %w", err)
-		}
-		if err := durable.AtomicWriteFile(*snapshot, data, 0o600); err != nil {
-			return fmt.Errorf("write snapshot: %w", err)
-		}
-		fmt.Printf("persisted %d blocks to %s\n", network.Leader().Height(), *snapshot)
-	}
 	return nil
 }

@@ -96,17 +96,13 @@ func cmdProbe(args []string) error {
 	}
 	defer led.Close()
 
-	env := &fairExchangeEnv{
-		st: st, owner: owner, user: user,
-		cloud: cloud, chain: chainCli,
-		logger: logger, led: led, tenant: *tenant,
-	}
+	env := newFairExchangeEnv(st, owner, user, cloud, chainCli, logger, led, *tenant)
 	fn := func() (string, *audit.Evidence, error) {
 		req, err := user.Token(core.Query{Attr: *attr, Op: op, Value: *value})
 		if err != nil {
 			return "", nil, err
 		}
-		res, err := env.run(req, *pay, nil)
+		res, ids, err := env.run(req, *pay, nil)
 		if err != nil {
 			return "", nil, err
 		}
@@ -124,7 +120,7 @@ func cmdProbe(args []string) error {
 			q = *attr + " " + q
 		}
 		return fmt.Sprintf("query %s settled, gas %d, %d matches",
-			q, res.SubmitGas, len(res.IDs)), nil, nil
+			q, res.GasUsed, len(ids)), nil, nil
 	}
 	prober := audit.NewProber(led, fn, audit.ProberOptions{
 		Interval: *interval, Tenant: *tenant, Logger: logger,

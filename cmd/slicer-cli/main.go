@@ -27,6 +27,7 @@ import (
 	"slicer/internal/contract"
 	"slicer/internal/core"
 	"slicer/internal/durable"
+	"slicer/internal/exchange"
 	"slicer/internal/obs"
 	"slicer/internal/wire"
 	"slicer/internal/workload"
@@ -280,19 +281,9 @@ func cmdInsert(args []string) error {
 		return err
 	}
 	defer chainCli.Close()
-	nonce, err := chainCli.Nonce(st.OwnerAcct)
+	_, rc, err := exchange.PostAc(chainCli, st.OwnerAcct, st.ContractAddr, owner.Ac())
 	if err != nil {
 		return err
-	}
-	rc, err := chainCli.Mine(&chain.Transaction{
-		From: st.OwnerAcct, To: st.ContractAddr, Nonce: nonce,
-		GasLimit: 1_000_000, Data: contract.SetAcData(owner.Ac()),
-	})
-	if err != nil {
-		return err
-	}
-	if !rc.Status {
-		return fmt.Errorf("SetAc reverted: %s", rc.Err)
 	}
 	fmt.Printf("inserted %d records; on-chain ADS digest refreshed (gas %d)\n", len(records), rc.GasUsed)
 
@@ -401,12 +392,8 @@ func cmdSearch(args []string) error {
 	}
 	defer led.Close()
 
-	env := &fairExchangeEnv{
-		st: st, owner: owner, user: user,
-		cloud: cloud, chain: chainCli,
-		logger: logger, led: led, tenant: *tenant,
-	}
-	res, err := env.run(req, *pay, tr)
+	env := newFairExchangeEnv(st, owner, user, cloud, chainCli, logger, led, *tenant)
+	res, ids, err := env.run(req, *pay, tr)
 	if err != nil {
 		return err
 	}
@@ -418,8 +405,8 @@ func cmdSearch(args []string) error {
 		}
 		return nil
 	}
-	fmt.Printf("on-chain verification passed (gas %d); payment settled to the cloud\n", res.SubmitGas)
-	fmt.Println("matching record IDs:", res.IDs)
+	fmt.Printf("on-chain verification passed (gas %d); payment settled to the cloud\n", res.GasUsed)
+	fmt.Println("matching record IDs:", ids)
 	return nil
 }
 

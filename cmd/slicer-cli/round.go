@@ -1,157 +1,56 @@
 package main
 
 import (
-	"crypto/rand"
-	"encoding/json"
-	"fmt"
 	"log/slog"
 
 	"slicer/internal/audit"
-	"slicer/internal/chain"
-	"slicer/internal/contract"
 	"slicer/internal/core"
+	"slicer/internal/exchange"
 	"slicer/internal/obs"
 	"slicer/internal/wire"
 )
 
-// fairExchangeEnv bundles the dialed clients, key material and optional
-// client-side audit ledger one fair-exchange search round needs — shared by
-// `search` and the continuous `probe`.
+// fairExchangeEnv is what `search` and the continuous `probe` share: the one
+// fair-exchange round (internal/exchange) over the dialed cloud and chain,
+// journaling into the optional client-side ledger, and the user who decrypts.
 type fairExchangeEnv struct {
-	st     *cliState
-	owner  *core.Owner
+	round  exchange.Round
 	user   *core.User
-	cloud  *wire.CloudClient
-	chain  *wire.ChainClient
 	logger *slog.Logger
-	led    *audit.Ledger // nil: no client-side journaling
-	tenant string
 }
 
-// fairExchangeResult reports one fair-exchange search round.
-type fairExchangeResult struct {
-	ReqID     chain.Hash
-	SubmitGas uint64
-	Settled   bool
-	IDs       []uint64
-	// VerifyErr is the local re-run of the public verification after a
-	// refund — it attributes the on-chain rejection to a phase and token
-	// index. Nil when the round settled.
-	VerifyErr error
+func newFairExchangeEnv(st *cliState, owner *core.Owner, user *core.User, cloud *wire.CloudClient,
+	chainCli *wire.ChainClient, logger *slog.Logger, led *audit.Ledger, tenant string) *fairExchangeEnv {
+	return &fairExchangeEnv{user: user, logger: logger, round: exchange.Round{
+		Cloud:     cloud,
+		Ledger:    chainCli,
+		Contract:  st.ContractAddr,
+		User:      st.UserAcct,
+		CloudAcct: st.CloudAcct,
+		AccPub:    owner.AccumulatorPub(),
+		Ac:        owner.Ac(),
+		Audit:     led, // nil: no client-side journaling
+		Tenant:    tenant,
+	}}
 }
 
-// run executes the full fair-exchange flow — escrow, cloud search, result
-// submission, on-chain verification, settle-or-refund — journaling
-// search/settle/refund events into env.led (with the full evidence bundle
-// on a refund).
-func (env *fairExchangeEnv) run(req *core.SearchRequest, pay uint64, tr *obs.Trace) (*fairExchangeResult, error) {
-	st := env.st
-	th, err := contract.TokensHash(req.Tokens)
+// run executes one round — search/settle/refund events, and on a refund the
+// full evidence bundle, land in the ledger — and decrypts a settled response.
+func (env *fairExchangeEnv) run(req *core.SearchRequest, pay uint64, tr *obs.Trace) (*exchange.Result, []uint64, error) {
+	res, err := env.round.Run(req, pay, tr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var reqID chain.Hash
-	if _, err := rand.Read(reqID[:]); err != nil {
-		return nil, err
+	env.logger.Debug("round finished", "fee", pay, "tokens", len(res.Response.Results),
+		"settled", res.Settled, "gas", res.GasUsed)
+	if !res.Settled {
+		return res, nil, nil
 	}
-	nonce, err := env.chain.Nonce(st.UserAcct)
+	endDecrypt := tr.Span("decrypt")
+	ids, err := env.user.Decrypt(res.Response)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	endEscrow := tr.Span("escrow")
-	rc, err := env.chain.MineTraced(&chain.Transaction{
-		From: st.UserAcct, To: st.ContractAddr, Nonce: nonce, Value: pay,
-		GasLimit: 1_000_000, Data: contract.RequestData(reqID, st.CloudAcct, th),
-	}, tr)
-	if err != nil {
-		return nil, err
-	}
-	if !rc.Status {
-		return nil, fmt.Errorf("escrow request reverted: %s", rc.Err)
-	}
-	endEscrow()
-	env.logger.Debug("payment escrowed", "fee", pay, "gas", rc.GasUsed)
-	env.led.Log(audit.Event{Kind: audit.KindSearch, Tenant: env.tenant,
-		Detail: fmt.Sprintf("request %x…, %d tokens, %d escrowed", reqID[:8], len(req.Tokens), pay)})
-
-	endSearch := tr.Span("cloud_search")
-	resp, err := env.cloud.SearchTraced(req, tr)
-	if err != nil {
-		return nil, fmt.Errorf("cloud search: %w", err)
-	}
-	endSearch()
-	env.logger.Debug("cloud answered", "tokens", len(resp.Results))
-
-	submit, err := contract.SubmitData(reqID, env.owner.AccumulatorPub().Marshal(), env.owner.Ac(), resp.Results)
-	if err != nil {
-		return nil, err
-	}
-	nonce, err = env.chain.Nonce(st.CloudAcct)
-	if err != nil {
-		return nil, err
-	}
-	endSettle := tr.Span("settle")
-	subTx := &chain.Transaction{
-		From: st.CloudAcct, To: st.ContractAddr, Nonce: nonce,
-		GasLimit: 50_000_000, Data: submit,
-	}
-	subTxHash := subTx.Hash()
-	rc, err = env.chain.MineTraced(subTx, tr)
-	if err != nil {
-		return nil, err
-	}
-	if !rc.Status {
-		return nil, fmt.Errorf("result submission reverted: %s", rc.Err)
-	}
-	endSettle()
-	env.logger.Debug("results submitted", "gas", rc.GasUsed)
-
-	res := &fairExchangeResult{ReqID: reqID, SubmitGas: rc.GasUsed}
-	if len(rc.ReturnData) == 1 && rc.ReturnData[0] == 1 {
-		res.Settled = true
-		env.led.Log(audit.Event{Kind: audit.KindSettle, Tenant: env.tenant,
-			Detail: fmt.Sprintf("request %x… settled, gas %d", reqID[:8], rc.GasUsed)})
-		endDecrypt := tr.Span("decrypt")
-		ids, err := env.user.Decrypt(resp)
-		if err != nil {
-			return nil, err
-		}
-		endDecrypt()
-		res.IDs = ids
-		return res, nil
-	}
-
-	// Refunded: re-run the public verification locally to attribute the
-	// on-chain rejection, and journal the full evidence bundle — tokens,
-	// the raw response exactly as submitted, the accumulation value it was
-	// judged against and the chain receipt.
-	res.VerifyErr = core.VerifyResponse(env.owner.AccumulatorPub(), env.owner.Ac(), req, resp)
-	if env.led != nil {
-		ev := &audit.Evidence{
-			Ac:         env.owner.Ac().Bytes(),
-			AccPub:     env.owner.AccumulatorPub().Marshal(),
-			TokenIndex: -1,
-			RequestID:  reqID[:],
-			TxHash:     subTxHash[:],
-			GasUsed:    rc.GasUsed,
-			ReturnData: rc.ReturnData,
-		}
-		if b, err := json.Marshal(req); err == nil {
-			ev.Tokens = b
-		}
-		if b, err := json.Marshal(resp); err == nil {
-			ev.Response = b
-		}
-		detail := fmt.Sprintf("request %x… refunded", reqID[:8])
-		if res.VerifyErr != nil {
-			if ve, ok := core.AsVerificationError(res.VerifyErr); ok {
-				ev.Phase = ve.Phase
-				ev.TokenIndex = ve.TokenIndex
-			}
-			detail += ": " + res.VerifyErr.Error()
-		}
-		env.led.Log(audit.Event{Kind: audit.KindRefund, Outcome: audit.OutcomeFail,
-			Tenant: env.tenant, Detail: detail, Evidence: ev})
-	}
-	return res, nil
+	endDecrypt()
+	return res, ids, nil
 }

@@ -41,7 +41,6 @@ func run() error {
 	fsync := flag.String("fsync", "always", "WAL durability: always, never, or a flush interval like 100ms")
 	snapEvery := flag.Int("snapshot-every", 0, "fold state into a snapshot every N journaled records (0: default 256, <0: off)")
 	auditDir := flag.String("audit-dir", "", `tamper-evident audit ledger directory (default <data-dir>/audit when -data-dir is set; "none" disables)`)
-	state := flag.String("state", "", "deprecated: single-file persistence, restored at boot and written at shutdown; prefer -data-dir")
 	admin := flag.String("admin", "", "optional admin HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
@@ -149,9 +148,6 @@ func run() error {
 		defer adm.Close()
 		fmt.Printf("slicer-cloud: admin endpoint on http://%s/metrics\n", adm.Addr())
 	}
-	if *dataDir != "" && *state != "" {
-		return fmt.Errorf("-data-dir and -state are mutually exclusive (migrate by booting once with -state, shutting down, then switching to -data-dir)")
-	}
 	if *dataDir != "" {
 		policy, interval, err := durable.ParsePolicy(*fsync)
 		if err != nil {
@@ -171,16 +167,6 @@ func run() error {
 		fmt.Printf("recovered from %s: snapshot@%d, %d records replayed, %d skipped, %d truncated\n",
 			*dataDir, stats.SnapshotIndex, stats.Replayed, stats.Skipped, stats.Truncated)
 	}
-	if *state != "" {
-		if data, err := os.ReadFile(*state); err == nil {
-			if err := srv.Restore(data); err != nil {
-				return fmt.Errorf("restore state: %w", err)
-			}
-			fmt.Printf("restored cloud state from %s\n", *state)
-		} else if !os.IsNotExist(err) {
-			return fmt.Errorf("read state: %w", err)
-		}
-	}
 
 	addr, err := srv.Listen(*listen)
 	if err != nil {
@@ -193,20 +179,5 @@ func run() error {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
 	fmt.Println("slicer-cloud: shutting down")
-
-	if *state != "" {
-		data, err := srv.Snapshot()
-		if err != nil {
-			return fmt.Errorf("snapshot state: %w", err)
-		}
-		if data != nil {
-			// Atomic and private: the state embeds the encrypted index and
-			// ADS — never leave a torn or world-readable copy behind.
-			if err := durable.AtomicWriteFile(*state, data, 0o600); err != nil {
-				return fmt.Errorf("write state: %w", err)
-			}
-			fmt.Printf("persisted cloud state to %s\n", *state)
-		}
-	}
 	return nil
 }

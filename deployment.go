@@ -1,8 +1,6 @@
 package slicer
 
 import (
-	"crypto/rand"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -10,6 +8,7 @@ import (
 	"slicer/internal/chain"
 	"slicer/internal/contract"
 	"slicer/internal/core"
+	"slicer/internal/exchange"
 	"slicer/internal/obs"
 )
 
@@ -70,26 +69,13 @@ type Deployment struct {
 	// used by examples and tests to demonstrate the refund path.
 	tamper func(*SearchResponse)
 
-	met deployMetrics
+	met exchange.Metrics
 
 	// aud, when set, journals every fair-exchange event; on a refund the
 	// full evidence bundle (tokens, raw response, accumulation value,
 	// receipt) is captured atomically with the record.
 	aud       *audit.Ledger
 	audTenant string
-}
-
-// deployMetrics are the fair-exchange instruments. The zero value is the
-// disabled state — every instrument is nil-safe.
-type deployMetrics struct {
-	searches *obs.Counter
-	settled  *obs.Counter
-	refunded *obs.Counter
-	gas      *obs.Counter
-	escrow   *obs.Histogram
-	search   *obs.Histogram
-	settle   *obs.Histogram
-	decrypt  *obs.Histogram
 }
 
 // SetObservability attaches a metrics registry to the deployment: the
@@ -100,21 +86,7 @@ type deployMetrics struct {
 // changes any protocol output.
 func (d *Deployment) SetObservability(reg *obs.Registry) {
 	d.cloud.SetMetrics(reg)
-	if reg == nil {
-		d.met = deployMetrics{}
-		return
-	}
-	const phaseHelp = "Latency of one fair-exchange phase, by phase."
-	d.met = deployMetrics{
-		searches: reg.Counter("slicer_fairexchange_searches_total", "Fair-exchange searches run."),
-		settled:  reg.Counter("slicer_fairexchange_settled_total", "Searches whose payment settled to the cloud."),
-		refunded: reg.Counter("slicer_fairexchange_refunded_total", "Searches refunded after failed on-chain verification."),
-		gas:      reg.Counter("slicer_fairexchange_gas_total", "Gas consumed by result-submission transactions (on-chain verification)."),
-		escrow:   reg.Histogram(obs.Label("slicer_fairexchange_seconds", "phase", "escrow"), phaseHelp),
-		search:   reg.Histogram(obs.Label("slicer_fairexchange_seconds", "phase", "cloud_search"), phaseHelp),
-		settle:   reg.Histogram(obs.Label("slicer_fairexchange_seconds", "phase", "settle"), phaseHelp),
-		decrypt:  reg.Histogram(obs.Label("slicer_fairexchange_seconds", "phase", "decrypt"), phaseHelp),
-	}
+	d.met = exchange.NewMetrics(reg)
 }
 
 // AttachAudit journals the deployment's fair-exchange events — searches
@@ -186,7 +158,7 @@ func NewDeployment(cfg DeploymentConfig, db []Record) (*Deployment, error) {
 	}
 
 	deployTx := contract.DeployTx(d.OwnerAddr, 0, owner.AccumulatorPub().Marshal(), owner.Ac(), 10_000_000)
-	r, err := d.mine(deployTx)
+	r, err := d.ledger().MineTraced(deployTx, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -210,36 +182,8 @@ func (d *Deployment) BlockHeight() uint64      { return d.network.Leader().Heigh
 // DeployGas reports the gas the contract deployment consumed (Table II row 1).
 func (d *Deployment) DeployGas() uint64 { return d.deployGas }
 
-// mine submits a transaction to every node, seals the next block and
-// returns the receipt.
-func (d *Deployment) mine(tx *chain.Transaction) (*Receipt, error) {
-	return d.mineTraced(tx, nil)
-}
-
-// mineTraced is mine with the chain's admission and sealing phases recorded
-// into an optional trace — the same span names a remote chain server
-// reports, so in-process and distributed traces read alike.
-func (d *Deployment) mineTraced(tx *chain.Transaction, tr *obs.Trace) (*Receipt, error) {
-	endSubmit := tr.Span("chain.submit")
-	if err := d.network.SubmitTx(tx); err != nil {
-		return nil, err
-	}
-	endSubmit()
-	endSeal := tr.Span("chain.seal")
-	if _, err := d.network.Step(); err != nil {
-		return nil, err
-	}
-	endSeal()
-	r, ok := d.network.Leader().Receipt(tx.Hash())
-	if !ok {
-		return nil, fmt.Errorf("slicer: receipt missing for %s", tx.Hash())
-	}
-	return r, nil
-}
-
-func (d *Deployment) nonce(a Address) uint64 {
-	return d.network.Leader().NextNonce(a)
-}
+// ledger is the in-process chain as the fair-exchange round drives it.
+func (d *Deployment) ledger() exchange.Local { return exchange.Local{Network: d.network} }
 
 // Insert adds records and refreshes the on-chain Ac digest, returning the
 // receipt of the SetAc transaction (its gas is Table II's "data insertion").
@@ -252,27 +196,17 @@ func (d *Deployment) Insert(records []Record) (*Receipt, error) {
 		return nil, err
 	}
 	d.user.UpdateStates(d.owner.StatesSnapshot())
-	tx := &chain.Transaction{
-		From:     d.OwnerAddr,
-		To:       d.contractAddr,
-		Nonce:    d.nonce(d.OwnerAddr),
-		GasLimit: 1_000_000,
-		Data:     contract.SetAcData(d.owner.Ac()),
-	}
-	r, err := d.mine(tx)
+	txh, rc, err := exchange.PostAc(d.ledger(), d.OwnerAddr, d.contractAddr, d.owner.Ac())
 	if err != nil {
 		return nil, err
 	}
-	if !r.Status {
-		return nil, fmt.Errorf("slicer: SetAc reverted: %s", r.Err)
-	}
-	d.lastAcTx = tx.Hash()
-	txh := tx.Hash()
+	d.lastAcTx = txh
 	d.aud.Log(audit.Event{
 		Kind:   audit.KindUpdate,
 		Tenant: d.audTenant,
-		Detail: fmt.Sprintf("+%d records, SetAc tx %x… gas %d", len(records), txh[:8], r.GasUsed),
+		Detail: fmt.Sprintf("+%d records, SetAc tx %x… gas %d", len(records), txh[:8], rc.GasUsed),
 	})
+	r, _ := d.network.Leader().Receipt(txh) // PostAc mined it: the leader holds it, logs included
 	return r, nil
 }
 
@@ -360,7 +294,7 @@ func (d *Deployment) VerifiedSearch(q Query, payment uint64) (*SearchOutcome, er
 	if err != nil {
 		return nil, err
 	}
-	return d.verifiedRequest(req, payment, nil)
+	return d.runRound(req, payment, nil)
 }
 
 // VerifiedSearchTraced runs VerifiedSearch while recording a per-request
@@ -377,7 +311,7 @@ func (d *Deployment) VerifiedSearchTraced(q Query, payment uint64) (*SearchOutco
 		return nil, tr, err
 	}
 	endToken()
-	out, err := d.verifiedRequest(req, payment, tr)
+	out, err := d.runRound(req, payment, tr)
 	return out, tr, err
 }
 
@@ -389,138 +323,38 @@ func (d *Deployment) VerifiedRangeSearch(attr string, lo, hi uint64, payment uin
 	if err != nil {
 		return nil, err
 	}
-	return d.verifiedRequest(req, payment, nil)
+	return d.runRound(req, payment, nil)
 }
 
-func (d *Deployment) verifiedRequest(req *SearchRequest, payment uint64, tr *obs.Trace) (*SearchOutcome, error) {
-	d.met.searches.Inc()
-	th, err := contract.TokensHash(req.Tokens)
+// runRound runs the one fair-exchange round (internal/exchange) over the
+// deployment's in-process cloud and chain, then decrypts a settled response.
+func (d *Deployment) runRound(req *SearchRequest, payment uint64, tr *obs.Trace) (*SearchOutcome, error) {
+	round := exchange.Round{
+		Cloud:     d.cloud,
+		Ledger:    d.ledger(),
+		Contract:  d.contractAddr,
+		User:      d.UserAddr,
+		CloudAcct: d.CloudAddr,
+		AccPub:    d.owner.AccumulatorPub(),
+		Ac:        d.owner.Ac(),
+		Audit:     d.aud,
+		Tenant:    d.audTenant,
+		Tamper:    d.tamper,
+		Metrics:   d.met,
+	}
+	res, err := round.Run(req, payment, tr)
 	if err != nil {
 		return nil, err
 	}
-	var reqID TxHash
-	if _, err := rand.Read(reqID[:]); err != nil {
-		return nil, fmt.Errorf("slicer: sample request id: %w", err)
-	}
-
-	endEscrow := obs.StartPhase(d.met.escrow, tr, "escrow")
-	r, err := d.mineTraced(&chain.Transaction{
-		From:     d.UserAddr,
-		To:       d.contractAddr,
-		Nonce:    d.nonce(d.UserAddr),
-		Value:    payment,
-		GasLimit: 1_000_000,
-		Data:     contract.RequestData(reqID, d.CloudAddr, th),
-	}, tr)
-	if err != nil {
-		return nil, err
-	}
-	if !r.Status {
-		return nil, fmt.Errorf("slicer: search request reverted: %s", r.Err)
-	}
-	endEscrow()
-	d.aud.Log(audit.Event{
-		Kind:   audit.KindSearch,
-		Tenant: d.audTenant,
-		Detail: fmt.Sprintf("request %x…, %d tokens, %d escrowed", reqID[:8], len(req.Tokens), payment),
-	})
-
-	endSearch := obs.StartPhase(d.met.search, tr, "cloud_search")
-	resp, err := d.cloud.SearchTraced(req, tr)
-	if err != nil {
-		return nil, err
-	}
-	endSearch()
-	if d.tamper != nil {
-		d.tamper(resp)
-	}
-	data, err := contract.SubmitData(reqID, d.owner.AccumulatorPub().Marshal(), d.owner.Ac(), resp.Results)
-	if err != nil {
-		return nil, err
-	}
-	endSettle := obs.StartPhase(d.met.settle, tr, "settle")
-	subTx := &chain.Transaction{
-		From:     d.CloudAddr,
-		To:       d.contractAddr,
-		Nonce:    d.nonce(d.CloudAddr),
-		GasLimit: 50_000_000,
-		Data:     data,
-	}
-	subTxHash := subTx.Hash()
-	r, err = d.mineTraced(subTx, tr)
-	if err != nil {
-		return nil, err
-	}
-	if !r.Status {
-		return nil, fmt.Errorf("slicer: result submission reverted: %s", r.Err)
-	}
-	endSettle()
-	d.met.gas.Add(r.GasUsed)
-
-	outcome := &SearchOutcome{RequestID: reqID, GasUsed: r.GasUsed}
-	if len(r.ReturnData) == 1 && r.ReturnData[0] == 1 {
-		d.met.settled.Inc()
-		outcome.Settled = true
-		d.aud.Log(audit.Event{
-			Kind:   audit.KindSettle,
-			Tenant: d.audTenant,
-			Detail: fmt.Sprintf("request %x… settled, gas %d", reqID[:8], r.GasUsed),
-		})
-		endDecrypt := obs.StartPhase(d.met.decrypt, tr, "decrypt")
-		ids, err := d.user.Decrypt(resp)
-		if err != nil {
+	outcome := &SearchOutcome{RequestID: res.ReqID, Settled: res.Settled, GasUsed: res.GasUsed}
+	if res.Settled {
+		endDecrypt := d.met.StartDecrypt(tr)
+		if outcome.IDs, err = d.user.Decrypt(res.Response); err != nil {
 			return nil, err
 		}
 		endDecrypt()
-		outcome.IDs = ids
-	} else {
-		d.met.refunded.Inc()
-		d.auditRefund(reqID, subTxHash, req, resp, r)
 	}
 	return outcome, nil
-}
-
-// auditRefund journals a refund with its full evidence bundle: the tokens
-// the contract judged against, the raw response exactly as submitted, the
-// accumulation value and public parameters (so the proof check is replayable
-// from the bundle alone) and the chain receipt. The public verification is
-// re-run locally to attribute the failure to a phase and token index —
-// linking the structured core.VerificationError to the forensic record. The
-// ledger forces evidence durable before Append returns.
-func (d *Deployment) auditRefund(reqID TxHash, txHash TxHash, req *SearchRequest, resp *SearchResponse, r *Receipt) {
-	if d.aud == nil {
-		return
-	}
-	ev := &audit.Evidence{
-		Ac:         d.owner.Ac().Bytes(),
-		AccPub:     d.owner.AccumulatorPub().Marshal(),
-		TokenIndex: -1,
-		RequestID:  reqID[:],
-		TxHash:     txHash[:],
-		GasUsed:    r.GasUsed,
-		ReturnData: r.ReturnData,
-	}
-	if b, err := json.Marshal(req); err == nil {
-		ev.Tokens = b
-	}
-	if b, err := json.Marshal(resp); err == nil {
-		ev.Response = b
-	}
-	detail := fmt.Sprintf("request %x… refunded", reqID[:8])
-	if err := core.VerifyResponse(d.owner.AccumulatorPub(), d.owner.Ac(), req, resp); err != nil {
-		if ve, ok := core.AsVerificationError(err); ok {
-			ev.Phase = ve.Phase
-			ev.TokenIndex = ve.TokenIndex
-		}
-		detail += ": " + err.Error()
-	}
-	d.aud.Log(audit.Event{
-		Kind:     audit.KindRefund,
-		Outcome:  audit.OutcomeFail,
-		Tenant:   d.audTenant,
-		Detail:   detail,
-		Evidence: ev,
-	})
 }
 
 // ProbeFunc returns an audit.ProbeFunc running one synthetic fair-exchange

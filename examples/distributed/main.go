@@ -9,9 +9,9 @@
 package main
 
 import (
-	"crypto/rand"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -20,6 +20,7 @@ import (
 	"slicer/internal/chain"
 	"slicer/internal/contract"
 	"slicer/internal/core"
+	"slicer/internal/exchange"
 	"slicer/internal/obs"
 	"slicer/internal/wire"
 )
@@ -28,6 +29,31 @@ func main() {
 	if err := run(); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// verifiedSearch runs one fair-exchange round — escrow, remote search,
+// on-chain verification — and decrypts the response only if the contract
+// settled: a refunded response failed the public verification and is not to
+// be trusted.
+func verifiedSearch(w io.Writer, round *exchange.Round, user *core.User, req *core.SearchRequest, fee uint64, tr *obs.Trace) error {
+	res, err := round.Run(req, fee, tr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "user escrowed %d for query 'value < 1000' (%d tokens)\n", fee, len(req.Tokens))
+	fmt.Fprintf(w, "cloud submitted results; on-chain verification settled=%v (gas %d)\n", res.Settled, res.GasUsed)
+	if !res.Settled {
+		fmt.Fprintln(w, "payment refunded; response discarded:", res.VerifyErr)
+		return nil
+	}
+	endDecrypt := tr.Span("decrypt")
+	ids, err := user.Decrypt(res.Response)
+	if err != nil {
+		return err
+	}
+	endDecrypt()
+	fmt.Fprintln(w, "decrypted matching record IDs:", ids)
+	return nil
 }
 
 func run() error {
@@ -167,67 +193,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	th, err := contract.TokensHash(req.Tokens)
-	if err != nil {
-		return err
-	}
-	var reqID chain.Hash
-	if _, err := rand.Read(reqID[:]); err != nil {
-		return err
-	}
-	nonce, err := chainCli.Nonce(userAcct)
-	if err != nil {
-		return err
-	}
 	// One trace follows the whole fair exchange across all three machines:
 	// remote spans come back in the RPC responses and are spliced in.
 	tr := obs.NewTrace("distributed verified search")
-	const fee = 2500
-	endEscrow := tr.Span("escrow")
-	if rc, err := chainCli.MineTraced(&chain.Transaction{
-		From: userAcct, To: contractAddr, Nonce: nonce, Value: fee,
-		GasLimit: 1_000_000, Data: contract.RequestData(reqID, cloudAcct, th),
-	}, tr); err != nil || !rc.Status {
-		return fmt.Errorf("escrow request failed: %v %s", err, rc.Err)
+	round := &exchange.Round{
+		Cloud: cloudCli, Ledger: chainCli,
+		Contract: contractAddr, User: userAcct, CloudAcct: cloudAcct,
+		AccPub: owner.AccumulatorPub(), Ac: owner.Ac(),
 	}
-	endEscrow()
-	fmt.Printf("user escrowed %d for query 'value < 1000' (%d tokens)\n", fee, len(req.Tokens))
-
-	endSearch := tr.Span("cloud_search")
-	resp, err := cloudCli.SearchTraced(req, tr)
-	if err != nil {
-		return fmt.Errorf("remote search: %w", err)
-	}
-	endSearch()
-	submit, err := contract.SubmitData(reqID, owner.AccumulatorPub().Marshal(), owner.Ac(), resp.Results)
-	if err != nil {
+	if err := verifiedSearch(os.Stdout, round, user, req, 2500, tr); err != nil {
 		return err
 	}
-	nonce, err = chainCli.Nonce(cloudAcct)
-	if err != nil {
-		return err
-	}
-	endSettle := tr.Span("settle")
-	rc, err := chainCli.MineTraced(&chain.Transaction{
-		From: cloudAcct, To: contractAddr, Nonce: nonce,
-		GasLimit: 50_000_000, Data: submit,
-	}, tr)
-	if err != nil {
-		return err
-	}
-	if !rc.Status {
-		return fmt.Errorf("submission reverted: %s", rc.Err)
-	}
-	endSettle()
-	settled := len(rc.ReturnData) == 1 && rc.ReturnData[0] == 1
-	fmt.Printf("cloud submitted results; on-chain verification settled=%v (gas %d)\n", settled, rc.GasUsed)
-	endDecrypt := tr.Span("decrypt")
-	ids, err := user.Decrypt(resp)
-	if err != nil {
-		return err
-	}
-	endDecrypt()
-	fmt.Println("decrypted matching record IDs:", ids)
 
 	fmt.Println("\nmerged cross-machine trace (party column: who measured the span):")
 	_ = tr.WriteText(os.Stdout)
@@ -241,15 +217,8 @@ func run() error {
 		return fmt.Errorf("remote update: %w", err)
 	}
 	user.UpdateStates(owner.StatesSnapshot())
-	nonce, err = chainCli.Nonce(ownerAcct)
-	if err != nil {
+	if _, _, err := exchange.PostAc(chainCli, ownerAcct, contractAddr, owner.Ac()); err != nil {
 		return err
-	}
-	if rc, err := chainCli.Mine(&chain.Transaction{
-		From: ownerAcct, To: contractAddr, Nonce: nonce,
-		GasLimit: 1_000_000, Data: contract.SetAcData(owner.Ac()),
-	}); err != nil || !rc.Status {
-		return fmt.Errorf("SetAc failed: %v", err)
 	}
 	fmt.Println("\nowner inserted record 6 (value 640) and refreshed the on-chain digest")
 
@@ -257,14 +226,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	resp, err = cloudCli.Search(req)
+	resp, err := cloudCli.Search(req)
 	if err != nil {
 		return err
 	}
 	if err := core.VerifyResponseObserved(owner.AccumulatorPub(), owner.Ac(), req, resp, verifyDur, nil); err != nil {
 		return fmt.Errorf("verification after insert: %w", err)
 	}
-	ids, err = user.Decrypt(resp)
+	ids, err := user.Decrypt(resp)
 	if err != nil {
 		return err
 	}

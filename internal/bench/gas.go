@@ -1,12 +1,12 @@
 package bench
 
 import (
-	"crypto/rand"
 	"fmt"
 
 	"slicer/internal/chain"
 	"slicer/internal/contract"
 	"slicer/internal/core"
+	"slicer/internal/exchange"
 	"slicer/internal/workload"
 )
 
@@ -54,28 +54,15 @@ func (r *Runner) Table2() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	mine := func(tx *chain.Transaction) (*chain.Receipt, error) {
-		if err := network.SubmitTx(tx); err != nil {
-			return nil, err
-		}
-		if _, err := network.Step(); err != nil {
-			return nil, err
-		}
-		rc, ok := network.Leader().Receipt(tx.Hash())
-		if !ok {
-			return nil, fmt.Errorf("bench: receipt missing")
-		}
-		if !rc.Status {
-			return nil, fmt.Errorf("bench: tx reverted: %s", rc.Err)
-		}
-		return rc, nil
-	}
-	node := network.Leader()
+	ledger := exchange.Local{Network: network}
 
 	// Deployment.
-	deployRc, err := mine(contract.DeployTx(ownerAddr, 0, owner.AccumulatorPub().Marshal(), owner.Ac(), 50_000_000))
+	deployRc, err := ledger.MineTraced(contract.DeployTx(ownerAddr, 0, owner.AccumulatorPub().Marshal(), owner.Ac(), 50_000_000), nil)
 	if err != nil {
 		return nil, err
+	}
+	if !deployRc.Status {
+		return nil, fmt.Errorf("bench: contract deployment reverted: %s", deployRc.Err)
 	}
 	contractAddr := deployRc.ContractAddress
 
@@ -93,52 +80,29 @@ func (r *Runner) Table2() (*Table, error) {
 			return nil, err
 		}
 		user.UpdateStates(owner.StatesSnapshot())
-		rc, err := mine(&chain.Transaction{
-			From: ownerAddr, To: contractAddr, Nonce: node.NextNonce(ownerAddr),
-			GasLimit: 1_000_000, Data: contract.SetAcData(owner.Ac()),
-		})
+		_, rc, err := exchange.PostAc(ledger, ownerAddr, contractAddr, owner.Ac())
 		if err != nil {
 			return nil, err
 		}
 		insertGas = rc.GasUsed
 	}
 
-	// Result verification: escrow + submit for an equality search.
+	// Result verification: one fair-exchange round for an equality search.
 	req, err := user.Token(core.Equal(db[0].Attrs[0].Value))
 	if err != nil {
 		return nil, err
 	}
-	th, err := contract.TokensHash(req.Tokens)
+	round := exchange.Round{
+		Cloud: cloud, Ledger: ledger,
+		Contract: contractAddr, User: userAddr, CloudAcct: cloudAddr,
+		AccPub: owner.AccumulatorPub(), Ac: owner.Ac(),
+	}
+	verify, err := round.Run(req, 1000, nil)
 	if err != nil {
 		return nil, err
 	}
-	var reqID chain.Hash
-	if _, err := rand.Read(reqID[:]); err != nil {
-		return nil, err
-	}
-	if _, err := mine(&chain.Transaction{
-		From: userAddr, To: contractAddr, Nonce: node.NextNonce(userAddr),
-		Value: 1000, GasLimit: 1_000_000, Data: contract.RequestData(reqID, cloudAddr, th),
-	}); err != nil {
-		return nil, err
-	}
-	resp, err := cloud.Search(req)
-	if err != nil {
-		return nil, err
-	}
-	data, err := contract.SubmitData(reqID, owner.AccumulatorPub().Marshal(), owner.Ac(), resp.Results)
-	if err != nil {
-		return nil, err
-	}
-	verifyRc, err := mine(&chain.Transaction{
-		From: cloudAddr, To: contractAddr, Nonce: node.NextNonce(cloudAddr),
-		GasLimit: 50_000_000, Data: data,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(verifyRc.ReturnData) != 1 || verifyRc.ReturnData[0] != 1 {
-		return nil, fmt.Errorf("bench: gas experiment verification failed on chain")
+	if !verify.Settled {
+		return nil, fmt.Errorf("bench: gas experiment verification failed on chain: %v", verify.VerifyErr)
 	}
 
 	t := &Table{
@@ -148,7 +112,7 @@ func (r *Runner) Table2() (*Table, error) {
 	}
 	t.AddRow("Deployment", fmt.Sprintf("%d", deployRc.GasUsed), "745,346")
 	t.AddRow("Data insertion", fmt.Sprintf("%d", insertGas), "29,144")
-	t.AddRow("Result verification", fmt.Sprintf("%d", verifyRc.GasUsed), "94,531")
+	t.AddRow("Result verification", fmt.Sprintf("%d", verify.GasUsed), "94,531")
 	t.AddNote("equality search over a 1000-record 8-bit database; %d-bit accumulator modulus", r.scale.AccumulatorBits)
 	t.AddNote("insertion stores a 32-byte Ac digest (constant cost regardless of batch size)")
 	return t, nil

@@ -10,6 +10,7 @@ import (
 	"slicer/internal/chain"
 	"slicer/internal/contract"
 	"slicer/internal/core"
+	"slicer/internal/exchange"
 	"slicer/internal/obs"
 	"slicer/internal/wire"
 )
@@ -81,8 +82,11 @@ func TestDistributedSearchMetrics(t *testing.T) {
 	}
 	defer chainCli.Close()
 	deployRc, err := chainCli.Mine(contract.DeployTx(ownerAcct, 0, owner.AccumulatorPub().Marshal(), owner.Ac(), 50_000_000))
-	if err != nil || !deployRc.Status {
-		t.Fatalf("contract deploy: %v %s", err, deployRc.Err)
+	if err != nil {
+		t.Fatalf("contract deploy: %v", err)
+	}
+	if !deployRc.Status {
+		t.Fatalf("contract deploy reverted: %s", deployRc.Err)
 	}
 
 	// Fair-exchange search: escrow, remote search, submit, verify locally.
@@ -94,46 +98,22 @@ func TestDistributedSearchMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, err := contract.TokensHash(req.Tokens)
+	round := exchange.Round{
+		Cloud: cloudCli, Ledger: chainCli,
+		Contract: deployRc.ContractAddress, User: userAcct, CloudAcct: cloudAcct,
+		AccPub: owner.AccumulatorPub(), Ac: owner.Ac(),
+	}
+	out, err := round.Run(req, 1000, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("fair-exchange round: %v", err)
 	}
-	reqID := chain.HashBytes([]byte("req-0"))
-	nonce, err := chainCli.Nonce(userAcct)
-	if err != nil {
-		t.Fatal(err)
+	if !out.Settled {
+		t.Fatal("on-chain verification did not settle")
 	}
-	if rc, err := chainCli.Mine(&chain.Transaction{
-		From: userAcct, To: deployRc.ContractAddress, Nonce: nonce, Value: 1000,
-		GasLimit: 1_000_000, Data: contract.RequestData(reqID, cloudAcct, th),
-	}); err != nil || !rc.Status {
-		t.Fatalf("escrow: %v %s", err, rc.Err)
-	}
-	resp, err := cloudCli.Search(req)
-	if err != nil {
-		t.Fatalf("remote search: %v", err)
-	}
+	resp := out.Response
 	verifyDur := reg.Histogram(obs.Label("slicer_pipeline_seconds", "phase", "verify"), "")
 	if err := core.VerifyResponseObserved(owner.AccumulatorPub(), owner.Ac(), req, resp, verifyDur, nil); err != nil {
 		t.Fatalf("verify: %v", err)
-	}
-	submit, err := contract.SubmitData(reqID, owner.AccumulatorPub().Marshal(), owner.Ac(), resp.Results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonce, err = chainCli.Nonce(cloudAcct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, err := chainCli.Mine(&chain.Transaction{
-		From: cloudAcct, To: deployRc.ContractAddress, Nonce: nonce,
-		GasLimit: 50_000_000, Data: submit,
-	})
-	if err != nil || !rc.Status {
-		t.Fatalf("submit: %v %s", err, rc.Err)
-	}
-	if len(rc.ReturnData) != 1 || rc.ReturnData[0] != 1 {
-		t.Fatal("on-chain verification did not settle")
 	}
 	ids, err := user.Decrypt(resp)
 	if err != nil {
@@ -289,8 +269,11 @@ func TestDistributedTracePropagation(t *testing.T) {
 	}
 	defer chainCli.Close()
 	deployRc, err := chainCli.Mine(contract.DeployTx(ownerAcct, 0, owner.AccumulatorPub().Marshal(), owner.Ac(), 50_000_000))
-	if err != nil || !deployRc.Status {
-		t.Fatalf("contract deploy: %v %s", err, deployRc.Err)
+	if err != nil {
+		t.Fatalf("contract deploy: %v", err)
+	}
+	if !deployRc.Status {
+		t.Fatalf("contract deploy reverted: %s", deployRc.Err)
 	}
 	user, err := core.NewUser(owner.ClientState())
 	if err != nil {
@@ -306,45 +289,19 @@ func TestDistributedTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	endToken()
-	th, err := contract.TokensHash(req.Tokens)
+	round := exchange.Round{
+		Cloud: cloudCli, Ledger: chainCli,
+		Contract: deployRc.ContractAddress, User: userAcct, CloudAcct: cloudAcct,
+		AccPub: owner.AccumulatorPub(), Ac: owner.Ac(),
+	}
+	out, err := round.Run(req, 1000, tr)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("traced round: %v", err)
 	}
-	reqID := chain.HashBytes([]byte("traced-req"))
-	nonce, err := chainCli.Nonce(userAcct)
-	if err != nil {
-		t.Fatal(err)
+	if !out.Settled {
+		t.Fatal("traced round did not settle")
 	}
-	endEscrow := tr.Span("escrow")
-	if rc, err := chainCli.MineTraced(&chain.Transaction{
-		From: userAcct, To: deployRc.ContractAddress, Nonce: nonce, Value: 1000,
-		GasLimit: 1_000_000, Data: contract.RequestData(reqID, cloudAcct, th),
-	}, tr); err != nil || !rc.Status {
-		t.Fatalf("escrow: %v %s", err, rc.Err)
-	}
-	endEscrow()
-	endSearch := tr.Span("cloud_search")
-	resp, err := cloudCli.SearchTraced(req, tr)
-	if err != nil {
-		t.Fatalf("traced search: %v", err)
-	}
-	endSearch()
-	submit, err := contract.SubmitData(reqID, owner.AccumulatorPub().Marshal(), owner.Ac(), resp.Results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonce, err = chainCli.Nonce(cloudAcct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	endSettle := tr.Span("settle")
-	if rc, err := chainCli.MineTraced(&chain.Transaction{
-		From: cloudAcct, To: deployRc.ContractAddress, Nonce: nonce,
-		GasLimit: 50_000_000, Data: submit,
-	}, tr); err != nil || !rc.Status {
-		t.Fatalf("submit: %v %s", err, rc.Err)
-	}
-	endSettle()
+	resp := out.Response
 	endDecrypt := tr.Span("decrypt")
 	ids, err := user.Decrypt(resp)
 	if err != nil {

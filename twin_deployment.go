@@ -1,14 +1,13 @@
 package slicer
 
 import (
-	"crypto/rand"
-	"encoding/json"
 	"fmt"
 
 	"slicer/internal/audit"
 	"slicer/internal/chain"
 	"slicer/internal/contract"
 	"slicer/internal/core"
+	"slicer/internal/exchange"
 )
 
 // TwinDeployment combines the deletion/update extension with the on-chain
@@ -32,6 +31,10 @@ type TwinDeployment struct {
 
 	aud       *audit.Ledger
 	audTenant string
+
+	// tamper[i], when set, mutates instance i's response before submission
+	// (the per-half refund path, exercised by the in-package tests).
+	tamper [2]func(*SearchResponse)
 }
 
 // AttachAudit journals the twin deployment's per-half settle/refund events
@@ -104,9 +107,9 @@ func NewTwinDeployment(cfg DeploymentConfig, db []Record) (*TwinDeployment, erro
 	}
 
 	for i, inst := range d.owners() {
-		tx := contract.DeployTx(d.OwnerAddr, d.nonce(d.OwnerAddr),
+		tx := contract.DeployTx(d.OwnerAddr, d.network.Leader().NextNonce(d.OwnerAddr),
 			inst.AccumulatorPub().Marshal(), inst.Ac(), 10_000_000)
-		r, err := d.mine(tx)
+		r, err := d.ledger().MineTraced(tx, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -125,36 +128,13 @@ func (d *TwinDeployment) owners() [2]*core.Owner {
 // Balance reads an account balance.
 func (d *TwinDeployment) Balance(a Address) uint64 { return d.network.Leader().Balance(a) }
 
-func (d *TwinDeployment) mine(tx *chain.Transaction) (*Receipt, error) {
-	if err := d.network.SubmitTx(tx); err != nil {
-		return nil, err
-	}
-	if _, err := d.network.Step(); err != nil {
-		return nil, err
-	}
-	r, ok := d.network.Leader().Receipt(tx.Hash())
-	if !ok {
-		return nil, fmt.Errorf("slicer: receipt missing")
-	}
-	return r, nil
-}
-
-func (d *TwinDeployment) nonce(a Address) uint64 {
-	return d.network.Leader().NextNonce(a)
-}
+func (d *TwinDeployment) ledger() exchange.Local { return exchange.Local{Network: d.network} }
 
 // refreshDigests posts both instances' current digests after a mutation.
 func (d *TwinDeployment) refreshDigests() error {
 	for i, inst := range d.owners() {
-		r, err := d.mine(&chain.Transaction{
-			From: d.OwnerAddr, To: d.addrs[i], Nonce: d.nonce(d.OwnerAddr),
-			GasLimit: 1_000_000, Data: contract.SetAcData(inst.Ac()),
-		})
-		if err != nil {
-			return err
-		}
-		if !r.Status {
-			return fmt.Errorf("slicer: twin SetAc %d reverted: %s", i, r.Err)
+		if _, _, err := exchange.PostAc(d.ledger(), d.OwnerAddr, d.addrs[i], inst.Ac()); err != nil {
+			return fmt.Errorf("slicer: twin instance %d: %w", i, err)
 		}
 	}
 	return nil
@@ -209,98 +189,37 @@ func (d *TwinDeployment) VerifiedSearch(q Query, fee uint64) (*TwinOutcome, erro
 		return nil, err
 	}
 	halves := [2]*core.SearchRequest{req.Add, req.Del}
-	resp := &core.TwinResponse{}
+	clouds := [2]*core.Cloud{d.cloud.Add, d.cloud.Del}
+	var resps [2]*core.SearchResponse
 	outcome := &TwinOutcome{Settled: true}
 
-	for i := range halves {
-		inst := d.owners()[i]
-		// The delete instance may legitimately have no matching slices.
-		tokens := halves[i].Tokens
-		th, err := contract.TokensHash(tokens)
-		if err != nil {
-			return nil, err
-		}
-		var reqID TxHash
-		if _, err := rand.Read(reqID[:]); err != nil {
-			return nil, err
-		}
-		r, err := d.mine(&chain.Transaction{
-			From: d.UserAddr, To: d.addrs[i], Nonce: d.nonce(d.UserAddr),
-			Value: fee / 2, GasLimit: 1_000_000,
-			Data: contract.RequestData(reqID, d.CloudAddr, th),
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !r.Status {
-			return nil, fmt.Errorf("slicer: twin escrow %d reverted: %s", i, r.Err)
-		}
-
-		var half *core.SearchResponse
-		if i == 0 {
-			half, err = d.cloud.Add.Search(halves[i])
-			resp.Add = half
-		} else {
-			half, err = d.cloud.Del.Search(halves[i])
-			resp.Del = half
-		}
-		if err != nil {
-			return nil, err
-		}
-		data, err := contract.SubmitData(reqID, inst.AccumulatorPub().Marshal(), inst.Ac(), half.Results)
-		if err != nil {
-			return nil, err
-		}
-		r, err = d.mine(&chain.Transaction{
-			From: d.CloudAddr, To: d.addrs[i], Nonce: d.nonce(d.CloudAddr),
-			GasLimit: 50_000_000, Data: data,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !r.Status {
-			return nil, fmt.Errorf("slicer: twin submission %d reverted: %s", i, r.Err)
-		}
-		outcome.GasUsed += r.GasUsed
+	// One round per instance; the delete instance may legitimately have no
+	// matching slices.
+	for i, inst := range d.owners() {
 		instName := [2]string{"insert", "delete"}[i]
-		if len(r.ReturnData) == 1 && r.ReturnData[0] == 1 {
-			d.aud.Log(audit.Event{
-				Kind:   audit.KindSettle,
-				Tenant: d.audTenant,
-				Detail: fmt.Sprintf("twin %s half, request %x… settled, gas %d", instName, reqID[:8], r.GasUsed),
-			})
-		} else {
-			outcome.Settled = false
-			ev := &audit.Evidence{
-				Ac:         inst.Ac().Bytes(),
-				AccPub:     inst.AccumulatorPub().Marshal(),
-				TokenIndex: -1,
-				RequestID:  reqID[:],
-				GasUsed:    r.GasUsed,
-				ReturnData: r.ReturnData,
-			}
-			if b, err := json.Marshal(halves[i]); err == nil {
-				ev.Tokens = b
-			}
-			if b, err := json.Marshal(half); err == nil {
-				ev.Response = b
-			}
-			detail := fmt.Sprintf("twin %s half, request %x… refunded", instName, reqID[:8])
-			if verr := core.VerifyResponse(inst.AccumulatorPub(), inst.Ac(), halves[i], half); verr != nil {
-				if ve, ok := core.AsVerificationError(verr); ok {
-					ev.Phase = ve.Phase
-					ev.TokenIndex = ve.TokenIndex
-				}
-				detail += ": " + verr.Error()
-			}
-			d.aud.Log(audit.Event{
-				Kind: audit.KindRefund, Outcome: audit.OutcomeFail,
-				Tenant: d.audTenant, Detail: detail, Evidence: ev,
-			})
+		round := exchange.Round{
+			Cloud:     clouds[i],
+			Ledger:    d.ledger(),
+			Contract:  d.addrs[i],
+			User:      d.UserAddr,
+			CloudAcct: d.CloudAddr,
+			AccPub:    inst.AccumulatorPub(),
+			Ac:        inst.Ac(),
+			Audit:     d.aud,
+			Tenant:    d.audTenant,
+			Label:     "twin " + instName + " half, ",
+			Tamper:    d.tamper[i],
 		}
+		res, err := round.Run(halves[i], fee/2, nil)
+		if err != nil {
+			return nil, fmt.Errorf("slicer: twin %s half: %w", instName, err)
+		}
+		resps[i] = res.Response
+		outcome.GasUsed += res.GasUsed
+		outcome.Settled = outcome.Settled && res.Settled
 	}
 	if outcome.Settled {
-		ids, err := d.user.Decrypt(resp)
+		ids, err := d.user.Decrypt(&core.TwinResponse{Add: resps[0], Del: resps[1]})
 		if err != nil {
 			return nil, err
 		}

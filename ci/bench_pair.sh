@@ -6,7 +6,8 @@
 # seeds back to back, so the box's drift lands on one side. The parent is
 # exported with git archive under .bench_build/pair/ (already ignored, and
 # wiped on the next call); both sides build themselves through run.sh.
-# TRACE=1 runs the traced pairs (per-layer metrics) instead.
+# TRACE=1 runs the traced pairs instead and prints both sides' per-layer
+# medians side by side; --compare reads untraced runs only, so it is skipped.
 #
 # --compare stops at the first workload of BENCHMARK.json that a result set
 # lacks, so it is run on the built program from .bench_build/pair/, beside a
@@ -16,7 +17,7 @@
 #	bash ci/bench_pair.sh PARENT_REF WORKLOAD [SEEDS=3]
 set -euo pipefail
 
-parent_ref="$1"; workload="$2"; seeds="${3:-3}"
+parent_ref="$1"; workload="$2"; seeds="${3:-3}"; trace="${TRACE:-0}"
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 pair="$root/.bench_build/pair"
 rm -rf "$pair"
@@ -27,7 +28,7 @@ seconds="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_
 run() { # run SIDE CHECKOUT: one run of the current seed, appended to SIDE.jsonl
 	echo "== seed $seed $1"
 	bash "$2/benchmark/run.sh" --workload "$workload" --seed "$seed" --seconds "$seconds" \
-		--trace "${TRACE:-0}" --out "$pair/$1.jsonl" | grep -E '^(insert|search|setup|peak)' || true
+		--trace "$trace" --out "$pair/$1.jsonl" | grep -E '^(insert|search|setup|peak)' || true
 }
 for ((seed = 1; seed <= seeds; seed++)); do
 	if ((seed % 2)); then
@@ -36,6 +37,19 @@ for ((seed = 1; seed <= seeds; seed++)); do
 		run change "$root"; run parent "$pair/parent"
 	fi
 done
+if [ "$trace" != 0 ]; then
+	python3 - "$pair/parent.jsonl" "$pair/change.jsonl" <<'EOF'
+import json, statistics, sys
+def medians(path):
+    runs = [json.loads(line)["metrics"] for line in open(path)]
+    return {name: statistics.median(r[name]["value"] for r in runs) for name in runs[0]}, len(runs)
+(parent, n), (change, _) = medians(sys.argv[1]), medians(sys.argv[2])
+print("%-34s %14s %14s   (median of %d traced runs a side)" % ("per-layer metric", "parent", "change", n))
+for name in sorted(parent):
+    print("%-34s %14.6g %14.6g" % (name, parent[name], change.get(name, float("nan"))))
+EOF
+	exit
+fi
 python3 -c 'import json,sys
 bf = json.load(open(sys.argv[1]))
 bf["workloads"] = [w for w in bf["workloads"] if w["name"] == sys.argv[2]]

@@ -6,8 +6,8 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-CEILING=29029
-sources() { find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' "$@"; }
+CEILING=29001
+sources() { find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' "$@"; }
 lines=$(sources -print0 | xargs -0 cat | wc -l)
 echo "root-module non-test Go lines: $lines (ceiling $CEILING)"
 [ "$lines" -le "$CEILING" ] || { echo "over the line budget"; exit 1; }

@@ -66,7 +66,7 @@ func run() error {
 	vnodes := flag.Int("vnodes", shard.DefaultVnodes, "consistent-hash points per shard for a fresh routing table")
 	ringEpochs := flag.Int("ring-epochs", 8, "past routing-table epochs retained in memory for inspection")
 	workers := flag.Int("workers", 0, "token-level search concurrency (0: one per core)")
-	batch := flag.Int("batch", shard.DefaultBatch, "counter probes per scatter round trip")
+	batch := flag.Int("batch", shard.DefaultBatch, "first probe window of a walk; doubles each round")
 	admin := flag.String("admin", "", "optional admin HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")

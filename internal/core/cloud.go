@@ -388,7 +388,7 @@ func (c *Cloud) ADSSizeBytes() int {
 // tokenWorkers resolves the fan-out for an n-token request. Must be called
 // with the lock held (read or write).
 func (c *Cloud) tokenWorkers(n int) int {
-	w := effectiveWorkers(c.workers)
+	w := EffectiveWorkers(c.workers)
 	if w > n {
 		w = n
 	}
@@ -417,7 +417,7 @@ func (c *Cloud) SearchTraced(req *SearchRequest, tr *obs.Trace) (*SearchResponse
 	c.met.tokens.Add(uint64(len(req.Tokens)))
 	t0 := c.met.search.Start()
 	results := make([]TokenResult, len(req.Tokens))
-	err := forEachIndexed(len(req.Tokens), c.tokenWorkers(len(req.Tokens)), func(i int) error {
+	err := ForEachIndexed(len(req.Tokens), c.tokenWorkers(len(req.Tokens)), func(i int) error {
 		res, err := c.searchToken(req.Tokens[i], tr)
 		if err != nil {
 			return err
@@ -440,7 +440,7 @@ func (c *Cloud) SearchResults(req *SearchRequest) (*SearchResponse, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	results := make([]TokenResult, len(req.Tokens))
-	err := forEachIndexed(len(req.Tokens), c.tokenWorkers(len(req.Tokens)), func(i int) error {
+	err := ForEachIndexed(len(req.Tokens), c.tokenWorkers(len(req.Tokens)), func(i int) error {
 		t0 := c.met.collect.Start()
 		er, err := c.collectResults(req.Tokens[i])
 		if err != nil {
@@ -462,7 +462,7 @@ func (c *Cloud) SearchResults(req *SearchRequest) (*SearchResponse, error) {
 func (c *Cloud) AttachWitnesses(resp *SearchResponse) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return forEachIndexed(len(resp.Results), c.tokenWorkers(len(resp.Results)), func(i int) error {
+	return ForEachIndexed(len(resp.Results), c.tokenWorkers(len(resp.Results)), func(i int) error {
 		t0 := c.met.witness.Start()
 		vo, err := c.witnessFor(resp.Results[i].Token, resp.Results[i].ER)
 		if err != nil {

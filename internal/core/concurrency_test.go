@@ -289,7 +289,7 @@ func TestSetSearchWorkersValidation(t *testing.T) {
 func TestForEachIndexedFirstError(t *testing.T) {
 	fail := map[int]bool{3: true, 7: true, 11: true}
 	for _, workers := range []int{1, 2, 4, 16} {
-		err := forEachIndexed(16, workers, func(i int) error {
+		err := ForEachIndexed(16, workers, func(i int) error {
 			if fail[i] {
 				return fmt.Errorf("fail-%d", i)
 			}
@@ -299,7 +299,7 @@ func TestForEachIndexedFirstError(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v, want fail-3", workers, err)
 		}
 	}
-	if err := forEachIndexed(0, 4, func(int) error { return errors.New("never") }); err != nil {
+	if err := ForEachIndexed(0, 4, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatalf("empty range: %v", err)
 	}
 }

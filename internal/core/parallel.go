@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 )
 
-// forEachIndexed runs fn(0) .. fn(n-1) across at most workers goroutines.
+// ForEachIndexed runs fn(0) .. fn(n-1) across at most workers goroutines.
 //
 // It preserves the semantics of the serial loop the callers replaced:
 //
@@ -21,7 +21,7 @@ import (
 //
 // workers <= 1 (or n <= 1) degrades to the plain serial loop with zero
 // goroutine overhead.
-func forEachIndexed(n, workers int, fn func(i int) error) error {
+func ForEachIndexed(n, workers int, fn func(i int) error) error {
 	if n == 0 {
 		return nil
 	}
@@ -74,9 +74,9 @@ func forEachIndexed(n, workers int, fn func(i int) error) error {
 	return nil
 }
 
-// effectiveWorkers resolves a configured worker count: 0 (or negative) means
+// EffectiveWorkers resolves a configured worker count: 0 (or negative) means
 // "one per available core", anything else is taken literally.
-func effectiveWorkers(configured int) int {
+func EffectiveWorkers(configured int) int {
 	if configured <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}

@@ -120,7 +120,7 @@ func VerifyResponseWorkers(pp *accumulator.PublicParams, ac *big.Int, req *Searc
 		}
 		remaining[key]--
 	}
-	return forEachIndexed(len(resp.Results), effectiveWorkers(workers), func(i int) error {
+	return ForEachIndexed(len(resp.Results), EffectiveWorkers(workers), func(i int) error {
 		if !VerifyTokenResult(pp, ac, resp.Results[i]) {
 			return &VerificationError{TokenIndex: i, Phase: PhaseMembership,
 				Detail: "invalid membership proof"}

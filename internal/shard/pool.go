@@ -11,9 +11,9 @@ import (
 
 // pool is a lazy connection pool to one shard. Concurrent scatter batches
 // each check a connection out, so parallel tokens never serialize on a
-// single client mutex; a connection that errors is dropped, not returned,
-// and the next checkout dials fresh — which is also how the router survives
-// a shard restart without any explicit reconnect step.
+// single client mutex; a connection that fails at the transport is dropped,
+// not returned, and the next checkout dials fresh — which is also how the
+// router survives a shard restart without any explicit reconnect step.
 type pool struct {
 	id   string
 	addr string
@@ -69,9 +69,10 @@ func transient(err error) bool {
 }
 
 // call checks a connection out, runs fn, and returns the connection to the
-// pool on success. A transport-level failure closes the connection and
-// retries once on a fresh dial — covering both a restarted shard and an
-// idle-reaped pooled connection.
+// pool unless it failed at the transport: an application error (a shard
+// answering "unknown token") was decoded from a healthy connection. A
+// transport-level failure closes the connection and retries once on a fresh
+// dial — covering both a restarted shard and an idle-reaped pooled connection.
 func (p *pool) call(fn func(cc *wire.CloudClient) error) error {
 	for attempt := 0; ; attempt++ {
 		cc, err := p.get()
@@ -82,15 +83,14 @@ func (p *pool) call(fn func(cc *wire.CloudClient) error) error {
 			return err
 		}
 		err = fn(cc)
-		if err == nil {
+		if !transient(err) {
 			p.put(cc)
-			return nil
+			return err
 		}
 		_ = cc.Close()
-		if attempt == 0 && transient(err) {
-			continue
+		if attempt > 0 {
+			return err
 		}
-		return err
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math/big"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -30,10 +29,15 @@ const (
 	MethodRouterRebalance = "router.rebalance"
 )
 
-// DefaultBatch is how many counter probes one scatter round trip carries.
-// The in-epoch walk stops at the first miss, so a batch trades one RPC for
-// at most Batch-1 wasted label lookups on the final round.
+// DefaultBatch is the first probe window of a walk: how many counters each
+// epoch of a token asks for in its first scatter round. An epoch that fills
+// its window doubles it, so the probes past the end of a list number at most
+// max(n, Batch).
 const DefaultBatch = 16
+
+// maxRoundLabels caps the labels one scatter round of a walk carries, however
+// many epochs the token claims and however far their windows have doubled.
+const maxRoundLabels = 4096
 
 // ShardSpec names one shard and where to dial it.
 type ShardSpec struct {
@@ -62,7 +66,7 @@ type Options struct {
 	RingEpochs int
 	// Workers bounds token-level search concurrency (0: one per core).
 	Workers int
-	// Batch is the counter-probe batch size (default DefaultBatch).
+	// Batch is the first probe window of a walk (default DefaultBatch).
 	Batch int
 	// Registry receives slicer_shard_* series (may be nil).
 	Registry *obs.Registry
@@ -155,7 +159,7 @@ func NewRouter(opts Options) (*Router, error) {
 		srv:     wire.NewServer(),
 		specs:   append([]ShardSpec(nil), opts.Shards...),
 		pools:   make(map[string]*pool, len(opts.Shards)),
-		workers: effectiveWorkers(opts.Workers),
+		workers: core.EffectiveWorkers(opts.Workers),
 		batch:   opts.Batch,
 		epochs:  opts.RingEpochs,
 		logger:  opts.Logger,
@@ -164,6 +168,7 @@ func NewRouter(opts Options) (*Router, error) {
 	if r.batch <= 0 {
 		r.batch = DefaultBatch
 	}
+	r.batch = min(r.batch, maxRoundLabels)
 	if r.epochs <= 0 {
 		r.epochs = 8
 	}
@@ -517,7 +522,7 @@ func (r *Router) handleSearch(params json.RawMessage, tr *obs.Trace, _ wire.Meta
 	}
 	r.met.searches.Inc()
 	results := make([]core.TokenResult, len(req.Tokens))
-	err = forEachIndexed(len(req.Tokens), r.workers, func(i int) error {
+	err = core.ForEachIndexed(len(req.Tokens), r.workers, func(i int) error {
 		res, err := r.searchToken(tpk, req.Tokens[i], tr)
 		if err != nil {
 			return err
@@ -548,11 +553,26 @@ func (r *Router) searchToken(tpk *trapdoor.PublicKey, tok core.SearchToken, tr *
 	return core.TokenResult{Token: tok, ER: er, Witness: vo}, nil
 }
 
-// collectToken reproduces core.Cloud.collectResults over the shard fleet:
-// same label/mask derivations, same walk order, same first-miss epoch
-// termination — so the unmasked result list is byte-identical to what a
-// single cloud holding the union index would return. It reports the set of
-// shards contacted.
+// walkEpoch is one epoch of a token's chain on the walk's frontier.
+type walkEpoch struct {
+	t      []byte   // the epoch's trapdoor
+	next   uint64   // first counter not probed yet
+	window int      // counters to probe next round; 0 once the first miss closed the epoch
+	asked  int      // counters probed in the round in flight
+	er     [][]byte // unmasked entries, counter ascending
+}
+
+// collectToken produces what core.Cloud.collectResults produces — same
+// label/mask derivations, each epoch ending at its first missing counter,
+// entries ordered epoch j..0 and counter ascending — so the unmasked list is
+// byte-identical to a single cloud's over the union index. The schedule
+// differs: the chain t_{i-1} = π_pk(t_i) is public, so every epoch still open
+// probes its next window of counters in the same scatter round, and an epoch
+// that filled its window asks for twice as many in the next. A token costs
+// the rounds of its longest list, 1 + ⌊log2(n_max/batch + 1)⌋, not the sum
+// over its epochs. Epochs join newest first under maxRoundLabels, so the
+// token's Epoch sizes neither an allocation nor a message. It reports the
+// set of shards contacted.
 func (r *Router) collectToken(tpk *trapdoor.PublicKey, tok core.SearchToken, tr *obs.Trace) ([][]byte, map[string]bool, error) {
 	lk, err := prf.KeyFromBytes(tok.G1)
 	if err != nil {
@@ -566,40 +586,70 @@ func (r *Router) collectToken(tpk *trapdoor.PublicKey, tok core.SearchToken, tr 
 	maskEval := dk.NewEvaluator()
 	touched := make(map[string]bool)
 	var er [][]byte
+	var front []*walkEpoch // admitted epochs not yet appended to er, newest first
+	labels := make([]store.Label, 0, r.batch)
 	t := tok.Trapdoor
-	labels := make([]store.Label, r.batch)
-	for i := tok.Epoch; i >= 0; i-- {
-	epoch:
-		for base := uint64(0); ; base += uint64(r.batch) {
-			for k := range labels {
-				l, err := store.LabelFromBytes(labelEval.EvalWithCounter(t, base+uint64(k)))
-				if err != nil {
-					return nil, nil, err
-				}
-				labels[k] = l
-			}
-			payloads, found, err := r.fetchLabels(labels, touched, tr)
+	budget := 0
+	ask := func(e *walkEpoch) error { // e's next window, as far as the round's budget goes
+		e.asked = min(e.window, budget)
+		budget -= e.asked
+		for c := 0; c < e.asked; c++ {
+			l, err := store.LabelFromBytes(labelEval.EvalWithCounter(e.t, e.next+uint64(c)))
 			if err != nil {
+				return err
+			}
+			labels = append(labels, l)
+		}
+		return nil
+	}
+	for pending := tok.Epoch; pending >= 0 || len(front) > 0; {
+		labels, budget = labels[:0], maxRoundLabels
+		for _, e := range front {
+			if err := ask(e); err != nil {
 				return nil, nil, err
 			}
-			for k := range labels {
-				if !found[k] {
-					break epoch // in-epoch walk ends at the first missing counter
+		}
+		for ; pending >= 0 && budget > 0; pending-- {
+			e := &walkEpoch{t: t, window: r.batch}
+			front = append(front, e)
+			if err := ask(e); err != nil {
+				return nil, nil, err
+			}
+			if pending > 0 {
+				if t, err = tpk.Forward(t); err != nil {
+					return nil, nil, fmt.Errorf("walk trapdoor chain: %w", err)
 				}
-				mask := maskEval.EvalWithCounter(t, base+uint64(k))
-				d := payloads[k]
+			}
+		}
+		payloads, found, err := r.fetchLabels(labels, touched, tr)
+		if err != nil {
+			return nil, nil, err
+		}
+		k := 0
+		for _, e := range front {
+			full := e.asked == e.window
+			for c := 0; c < e.asked; c++ {
+				if !found[k+c] {
+					e.window = 0 // the epoch's list ends at its first missing counter
+					break
+				}
+				mask := maskEval.EvalWithCounter(e.t, e.next+uint64(c))
+				d := payloads[k+c]
 				res := make([]byte, store.EntrySize)
 				for b := range res {
 					res[b] = mask[b] ^ d[b]
 				}
-				er = append(er, res)
+				e.er = append(e.er, res)
 			}
+			if e.window > 0 && full {
+				e.window = min(2*e.window, maxRoundLabels)
+			}
+			e.next += uint64(e.asked)
+			k += e.asked
 		}
-		if i > 0 {
-			t, err = tpk.Forward(t)
-			if err != nil {
-				return nil, nil, fmt.Errorf("walk trapdoor chain: %w", err)
-			}
+		for len(front) > 0 && front[0].window == 0 {
+			er = append(er, front[0].er...)
+			front = front[1:]
 		}
 	}
 	return er, touched, nil
@@ -836,82 +886,4 @@ func (r *Router) handleTable(json.RawMessage) (any, error) {
 
 func (r *Router) handleShards(json.RawMessage) (any, error) {
 	return r.ShardStats()
-}
-
-// effectiveWorkers resolves a worker count: <=0 means one per core.
-func effectiveWorkers(configured int) int {
-	if configured <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return configured
-}
-
-// forEachIndexed mirrors core's parallel-for: bounded workers, results
-// written by index, and the returned error is the lowest failing index's —
-// so scatter-gather error selection matches a single cloud exactly.
-func forEachIndexed(n, workers int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next, minFail int64
-	minFail = int64(n)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		i := next
-		next++
-		return int(i)
-	}
-	fail := func(i int) {
-		mu.Lock()
-		if int64(i) < minFail {
-			minFail = int64(i)
-		}
-		mu.Unlock()
-	}
-	skip := func(i int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return int64(i) > minFail
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := claim()
-				if i >= n {
-					return
-				}
-				if skip(i) {
-					continue
-				}
-				if err := fn(i); err != nil {
-					errs[i] = err
-					fail(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -16,48 +16,19 @@
 #	bash ci/audit_smoke.sh
 set -euo pipefail
 
-BIN=${BIN:-/tmp}
-WORK=$(mktemp -d)
-trap 'kill "$CHAIN_PID" "$CLOUD_PID" "$PROBE_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
+source "$(dirname "${BASH_SOURCE[0]}")/lib.sh"
 
 CLOUD_ADDR=127.0.0.1:7471
 CHAIN_ADDR=127.0.0.1:7472
 CLI=("$BIN/slicer-cli")
 COMMON=(-state "$WORK/state.json" -cloud "$CLOUD_ADDR" -chain "$CHAIN_ADDR" -tenant smoke)
 CLI_LEDGER="$WORK/cli-audit"
-PROBE_PID=""
-
-port_free() { # host:port — a stale listener would absorb the whole test
-	if (exec 3<>"/dev/tcp/${1%:*}/${1#*:}") 2>/dev/null; then
-		echo "port $1 is already in use; refusing to run against a stale server" >&2
-		return 1
-	fi
-	return 0
-}
-
-wait_port() { # pid host:port — fails fast if the server process died
-	for _ in $(seq 1 100); do
-		if ! kill -0 "$1" 2>/dev/null; then
-			echo "server for $2 (pid $1) exited during startup" >&2
-			return 1
-		fi
-		if (exec 3<>"/dev/tcp/${2%:*}/${2#*:}") 2>/dev/null; then
-			exec 3>&- 3<&-
-			return 0
-		fi
-		sleep 0.1
-	done
-	echo "server on $2 never came up" >&2
-	return 1
-}
 
 start_servers() { # $1: log suffix — -data-dir turns auditing on by default
-	"$BIN/slicer-chain" -listen "$CHAIN_ADDR" -data-dir "$WORK/chain-data" \
-		>"$WORK/chain-$1.log" 2>&1 &
-	CHAIN_PID=$!
-	"$BIN/slicer-cloud" -listen "$CLOUD_ADDR" -data-dir "$WORK/cloud-data" \
-		>"$WORK/cloud-$1.log" 2>&1 &
-	CLOUD_PID=$!
+	start CHAIN_PID "$WORK/chain-$1.log" \
+		"$BIN/slicer-chain" -listen "$CHAIN_ADDR" -data-dir "$WORK/chain-data"
+	start CLOUD_PID "$WORK/cloud-$1.log" \
+		"$BIN/slicer-cloud" -listen "$CLOUD_ADDR" -data-dir "$WORK/cloud-data"
 	wait_port "$CHAIN_PID" "$CHAIN_ADDR"
 	wait_port "$CLOUD_PID" "$CLOUD_ADDR"
 	kill -0 "$CHAIN_PID" && kill -0 "$CLOUD_PID"
@@ -80,15 +51,13 @@ echo "== verification probe against the live deployment =="
 grep -q 'probe #[0-9]* ok' "$WORK/probe.out"
 
 echo "== SIGKILL both servers while probes are mid-flight =="
-"${CLI[@]}" probe "${COMMON[@]}" -op '=' -value 7 -count 0 -interval 0.1s \
-	-audit-dir "$CLI_LEDGER" >"$WORK/probe-bg.out" 2>&1 &
-PROBE_PID=$!
+start PROBE_PID "$WORK/probe-bg.out" \
+	"${CLI[@]}" probe "${COMMON[@]}" -op '=' -value 7 -count 0 -interval 0.1s -audit-dir "$CLI_LEDGER"
 sleep 1
 kill -9 "$CHAIN_PID" "$CLOUD_PID"
 wait "$CHAIN_PID" "$CLOUD_PID" 2>/dev/null || true
 kill -9 "$PROBE_PID" 2>/dev/null || true
 wait "$PROBE_PID" 2>/dev/null || true
-PROBE_PID=""
 
 echo "== restart: every ledger must re-verify its hash chain =="
 start_servers recovered

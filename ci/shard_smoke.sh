@@ -18,10 +18,7 @@
 #	bash ci/shard_smoke.sh
 set -euo pipefail
 
-BIN=${BIN:-/tmp}
-WORK=$(mktemp -d)
-PIDS=()
-trap 'kill "${PIDS[@]}" 2>/dev/null || true; rm -rf "$WORK"' EXIT
+source "$(dirname "${BASH_SOURCE[0]}")/lib.sh"
 
 ROUTER_ADDR=127.0.0.1:7471
 S1_ADDR=127.0.0.1:7472
@@ -32,35 +29,9 @@ CLI=("$BIN/slicer-cli")
 # The router IS the cloud as far as the CLI is concerned.
 COMMON=(-state "$WORK/state.json" -cloud "$ROUTER_ADDR" -chain "$CHAIN_ADDR")
 
-port_free() {
-	if (exec 3<>"/dev/tcp/${1%:*}/${1#*:}") 2>/dev/null; then
-		echo "port $1 is already in use; refusing to run against a stale server" >&2
-		return 1
-	fi
-	return 0
-}
-
-wait_port() { # pid host:port
-	for _ in $(seq 1 100); do
-		if ! kill -0 "$1" 2>/dev/null; then
-			echo "server for $2 (pid $1) exited during startup" >&2
-			return 1
-		fi
-		if (exec 3<>"/dev/tcp/${2%:*}/${2#*:}") 2>/dev/null; then
-			exec 3>&- 3<&-
-			return 0
-		fi
-		sleep 0.1
-	done
-	echo "server on $2 never came up" >&2
-	return 1
-}
-
 start_shard() { # $1: id  $2: addr  $3: log suffix
-	"$BIN/slicer-cloud" -listen "$2" -data-dir "$WORK/$1-data" \
-		>"$WORK/$1-$3.log" 2>&1 &
-	eval "${1^^}_PID=$!"
-	PIDS+=("$!")
+	start "${1^^}_PID" "$WORK/$1-$3.log" \
+		"$BIN/slicer-cloud" -listen "$2" -data-dir "$WORK/$1-data"
 	wait_port "$!" "$2"
 }
 
@@ -69,19 +40,15 @@ for p in "$ROUTER_ADDR" "$S1_ADDR" "$S2_ADDR" "$S3_ADDR" "$CHAIN_ADDR"; do
 done
 
 echo "== boot chain, three shards, router =="
-"$BIN/slicer-chain" -listen "$CHAIN_ADDR" -data-dir "$WORK/chain-data" \
-	>"$WORK/chain.log" 2>&1 &
-CHAIN_PID=$!
-PIDS+=("$CHAIN_PID")
+start CHAIN_PID "$WORK/chain.log" \
+	"$BIN/slicer-chain" -listen "$CHAIN_ADDR" -data-dir "$WORK/chain-data"
 wait_port "$CHAIN_PID" "$CHAIN_ADDR"
 start_shard s1 "$S1_ADDR" boot
 start_shard s2 "$S2_ADDR" boot
 start_shard s3 "$S3_ADDR" boot
-"$BIN/slicer-router" -listen "$ROUTER_ADDR" -data-dir "$WORK/router-data" \
-	-shards "s1=$S1_ADDR,s2=$S2_ADDR,s3=$S3_ADDR" \
-	>"$WORK/router.log" 2>&1 &
-ROUTER_PID=$!
-PIDS+=("$ROUTER_PID")
+start ROUTER_PID "$WORK/router.log" \
+	"$BIN/slicer-router" -listen "$ROUTER_ADDR" -data-dir "$WORK/router-data" \
+	-shards "s1=$S1_ADDR,s2=$S2_ADDR,s3=$S3_ADDR"
 wait_port "$ROUTER_PID" "$ROUTER_ADDR"
 
 echo "== build state through the router =="
@@ -111,9 +78,8 @@ kill -9 "${!DST_PID_VAR}"
 wait "${!DST_PID_VAR}" 2>/dev/null || true
 # The move's import pages retry against the dead shard; give the command
 # no call deadline so the stalled move can outlive the default timeout.
-"${CLI[@]}" rebalance "${COMMON[@]}" -call-timeout 0 \
-	-lo "$LO" -hi "$HI" -to "$DST" >"$WORK/move.out" 2>&1 &
-MOVE_PID=$!
+start MOVE_PID "$WORK/move.out" \
+	"${CLI[@]}" rebalance "${COMMON[@]}" -call-timeout 0 -lo "$LO" -hi "$HI" -to "$DST"
 sleep 2
 if ! kill -0 "$MOVE_PID" 2>/dev/null; then
 	echo "move finished while the destination was down:" >&2

@@ -38,7 +38,7 @@ func openClientLedger(dir, tenant string, logger *slog.Logger) (*audit.Ledger, e
 // verification refunds the payment, journals the evidence bundle, and makes
 // the probe (and this command's exit status) fail.
 func cmdProbe(args []string) error {
-	fs := flag.NewFlagSet("probe", flag.ContinueOnError)
+	fs := flag.NewFlagSet("probe", flag.ExitOnError)
 	statePath, _, _, tenant, dialOpts := commonFlags(fs)
 	opFlag := fs.String("op", "=", "operator: '=', '<' or '>'")
 	value := fs.Uint64("value", 0, "probe query value")
@@ -48,24 +48,14 @@ func cmdProbe(args []string) error {
 	count := fs.Int("count", 1, "probes to run; 0 probes forever")
 	auditDir := fs.String("audit-dir", "", "audit ledger journaling probe outcomes (empty: count/log only)")
 	mkLogger := logFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	_ = fs.Parse(args)
 	logger, err := mkLogger()
 	if err != nil {
 		return err
 	}
-
-	var op core.Op
-	switch *opFlag {
-	case "=":
-		op = core.OpEqual
-	case "<":
-		op = core.OpLess
-	case ">":
-		op = core.OpGreater
-	default:
-		return fmt.Errorf("bad -op %q", *opFlag)
+	op, err := parseOp(*opFlag)
+	if err != nil {
+		return err
 	}
 
 	st, err := loadState(*statePath)
@@ -152,27 +142,29 @@ func cmdProbe(args []string) error {
 // cmdAudit inspects an audit ledger offline: `verify` re-walks the hash
 // chain from genesis, `tail` prints the most recent records.
 func cmdAudit(args []string) error {
+	const usage = "usage: slicer-cli audit <verify|tail> -audit-dir DIR"
 	if len(args) == 0 {
-		return fmt.Errorf("usage: slicer-cli audit <verify|tail> -audit-dir DIR")
+		return usagef(usage)
 	}
 	switch args[0] {
 	case "verify":
 		return cmdAuditVerify(args[1:])
 	case "tail":
 		return cmdAuditTail(args[1:])
+	case "-h", "-help", "--help", "help":
+		fmt.Println(usage)
+		return nil
 	default:
-		return fmt.Errorf("unknown audit subcommand %q (want verify or tail)", args[0])
+		return usagef("unknown audit subcommand %q (want verify or tail)", args[0])
 	}
 }
 
 func cmdAuditVerify(args []string) error {
-	fs := flag.NewFlagSet("audit verify", flag.ContinueOnError)
+	fs := flag.NewFlagSet("audit verify", flag.ExitOnError)
 	dir := fs.String("audit-dir", "", "audit ledger directory to verify")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	_ = fs.Parse(args)
 	if *dir == "" {
-		return fmt.Errorf("audit verify: -audit-dir is required")
+		return usagef("audit verify: -audit-dir is required")
 	}
 	res, err := audit.Verify(durable.OS, *dir)
 	if err != nil {
@@ -190,14 +182,12 @@ func cmdAuditVerify(args []string) error {
 }
 
 func cmdAuditTail(args []string) error {
-	fs := flag.NewFlagSet("audit tail", flag.ContinueOnError)
+	fs := flag.NewFlagSet("audit tail", flag.ExitOnError)
 	dir := fs.String("audit-dir", "", "audit ledger directory to read")
 	n := fs.Int("n", 20, "how many of the newest records to print")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	_ = fs.Parse(args)
 	if *dir == "" {
-		return fmt.Errorf("audit tail: -audit-dir is required")
+		return usagef("audit tail: -audit-dir is required")
 	}
 	records, _, err := audit.ReadDir(durable.OS, *dir)
 	if err != nil {

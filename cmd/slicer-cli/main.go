@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -47,16 +48,29 @@ type cliState struct {
 	CloudAcct    chain.Address   `json:"cloudAcct"`
 }
 
+const usage = "usage: slicer-cli <init|insert|search|status|probe|audit|rebalance> [flags]; <command> -h lists its flags"
+
+// usageError is a command line slicer-cli cannot run: exit 2, where a
+// failure while running exits 1. Bad flags never get this far: subcommand
+// flag sets are flag.ExitOnError, so Parse itself exits 2 on one and 0
+// after printing the usage for -h.
+type usageError struct{ error }
+
+func usagef(format string, args ...any) error { return usageError{fmt.Errorf(format, args...)} }
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "slicer-cli:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: slicer-cli <init|insert|search|status|probe|audit|rebalance> [flags]")
+		return usagef(usage)
 	}
 	switch args[0] {
 	case "init":
@@ -73,8 +87,11 @@ func run(args []string) error {
 		return cmdAudit(args[1:])
 	case "rebalance":
 		return cmdRebalance(args[1:])
+	case "-h", "-help", "--help", "help":
+		fmt.Println(usage)
+		return nil
 	default:
-		return fmt.Errorf("unknown subcommand %q (want init, insert, search, status, probe, audit or rebalance)", args[0])
+		return usagef("unknown subcommand %q (want init, insert, search, status, probe, audit or rebalance)", args[0])
 	}
 }
 
@@ -100,7 +117,13 @@ func commonFlags(fs *flag.FlagSet) (statePath, cloudAddr, chainAddr, tenant *str
 func logFlags(fs *flag.FlagSet) func() (*slog.Logger, error) {
 	level := fs.String("log-level", "warn", "log level: debug, info, warn, error")
 	format := fs.String("log-format", "text", "log format: text or json")
-	return func() (*slog.Logger, error) { return obs.NewLogger(os.Stderr, *level, *format) }
+	return func() (*slog.Logger, error) {
+		logger, err := obs.NewLogger(os.Stderr, *level, *format)
+		if err != nil {
+			return nil, usageError{err}
+		}
+		return logger, nil
+	}
 }
 
 func loadState(path string) (*cliState, error) {
@@ -131,29 +154,42 @@ func parseRecords(random int, bits int, values string, firstSeed int64) ([]core.
 		return workload.Generate(workload.Config{N: random, Bits: bits, Seed: firstSeed}), nil
 	}
 	if values == "" {
-		return nil, fmt.Errorf("provide -random N or -values id=value,...")
+		return nil, usagef("provide -random N or -values id=value,...")
 	}
 	var records []core.Record
 	for _, pair := range strings.Split(values, ",") {
 		parts := strings.SplitN(strings.TrimSpace(pair), "=", 2)
 		if len(parts) != 2 {
-			return nil, fmt.Errorf("bad record %q (want id=value)", pair)
+			return nil, usagef("bad record %q (want id=value)", pair)
 		}
 		id, err := strconv.ParseUint(parts[0], 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad record id %q: %w", parts[0], err)
+			return nil, usagef("bad record id %q: %w", parts[0], err)
 		}
 		v, err := strconv.ParseUint(parts[1], 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad record value %q: %w", parts[1], err)
+			return nil, usagef("bad record value %q: %w", parts[1], err)
 		}
 		records = append(records, core.NewRecord(id, v))
 	}
 	return records, nil
 }
 
+// parseOp maps an -op spelling to its query operator.
+func parseOp(s string) (core.Op, error) {
+	switch s {
+	case "=":
+		return core.OpEqual, nil
+	case "<":
+		return core.OpLess, nil
+	case ">":
+		return core.OpGreater, nil
+	}
+	return 0, usagef("bad -op %q", s)
+}
+
 func cmdInit(args []string) error {
-	fs := flag.NewFlagSet("init", flag.ContinueOnError)
+	fs := flag.NewFlagSet("init", flag.ExitOnError)
 	statePath, cloudAddr, chainAddr, _, dialOpts := commonFlags(fs)
 	bits := fs.Int("bits", 16, "value bit width")
 	random := fs.Int("random", 0, "generate N random records")
@@ -162,9 +198,7 @@ func cmdInit(args []string) error {
 	accBits := fs.Int("accumulator-bits", 1024, "accumulator modulus bits")
 	prefix := fs.Bool("prefix-index", false, "index bit prefixes to enable 'search -range lo:hi'")
 	mkLogger := logFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	_ = fs.Parse(args)
 	logger, err := mkLogger()
 	if err != nil {
 		return err
@@ -237,14 +271,12 @@ func cmdInit(args []string) error {
 }
 
 func cmdInsert(args []string) error {
-	fs := flag.NewFlagSet("insert", flag.ContinueOnError)
+	fs := flag.NewFlagSet("insert", flag.ExitOnError)
 	statePath, _, _, _, dialOpts := commonFlags(fs)
 	random := fs.Int("random", 0, "generate N random records")
 	values := fs.String("values", "", "explicit records: id=value,...")
 	mkLogger := logFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	_ = fs.Parse(args)
 	logger, err := mkLogger()
 	if err != nil {
 		return err
@@ -296,7 +328,7 @@ func cmdInsert(args []string) error {
 }
 
 func cmdSearch(args []string) error {
-	fs := flag.NewFlagSet("search", flag.ContinueOnError)
+	fs := flag.NewFlagSet("search", flag.ExitOnError)
 	statePath, _, _, tenant, dialOpts := commonFlags(fs)
 	opFlag := fs.String("op", "=", "operator: '=', '<' or '>'")
 	value := fs.Uint64("value", 0, "query value")
@@ -306,12 +338,27 @@ func cmdSearch(args []string) error {
 	trace := fs.Bool("trace", false, "print the merged cross-machine trace of the search after the results")
 	auditDir := fs.String("audit-dir", "", "optional client-side audit ledger; journals search/settle/refund with evidence")
 	mkLogger := logFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	_ = fs.Parse(args)
 	logger, err := mkLogger()
 	if err != nil {
 		return err
+	}
+	op, err := parseOp(*opFlag)
+	if err != nil {
+		return err
+	}
+	var lo, hi uint64
+	if *rangeFlag != "" {
+		parts := strings.SplitN(*rangeFlag, ":", 2)
+		if len(parts) != 2 {
+			return usagef("bad -range %q (want lo:hi)", *rangeFlag)
+		}
+		if lo, err = strconv.ParseUint(parts[0], 10, 64); err != nil {
+			return usagef("bad range low bound: %w", err)
+		}
+		if hi, err = strconv.ParseUint(parts[1], 10, 64); err != nil {
+			return usagef("bad range high bound: %w", err)
+		}
 	}
 
 	var tr *obs.Trace
@@ -337,40 +384,14 @@ func cmdSearch(args []string) error {
 	var queryDesc string
 	endToken := tr.Span("token")
 	if *rangeFlag != "" {
-		parts := strings.SplitN(*rangeFlag, ":", 2)
-		if len(parts) != 2 {
-			return fmt.Errorf("bad -range %q (want lo:hi)", *rangeFlag)
-		}
-		lo, err := strconv.ParseUint(parts[0], 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad range low bound: %w", err)
-		}
-		hi, err := strconv.ParseUint(parts[1], 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad range high bound: %w", err)
-		}
 		req, err = user.RangeTokens(*attr, lo, hi)
-		if err != nil {
-			return err
-		}
 		queryDesc = fmt.Sprintf("%s in [%d,%d]", *attr, lo, hi)
 	} else {
-		var op core.Op
-		switch *opFlag {
-		case "=":
-			op = core.OpEqual
-		case "<":
-			op = core.OpLess
-		case ">":
-			op = core.OpGreater
-		default:
-			return fmt.Errorf("bad -op %q", *opFlag)
-		}
 		req, err = user.Token(core.Query{Attr: *attr, Op: op, Value: *value})
-		if err != nil {
-			return err
-		}
 		queryDesc = fmt.Sprintf("%s %s %d", *attr, *opFlag, *value)
+	}
+	if err != nil {
+		return err
 	}
 	endToken()
 	logger.Debug("tokens generated", "query", queryDesc, "tokens", len(req.Tokens))
@@ -411,12 +432,10 @@ func cmdSearch(args []string) error {
 }
 
 func cmdStatus(args []string) error {
-	fs := flag.NewFlagSet("status", flag.ContinueOnError)
+	fs := flag.NewFlagSet("status", flag.ExitOnError)
 	statePath, _, _, _, dialOpts := commonFlags(fs)
 	mkLogger := logFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	_ = fs.Parse(args)
 	if _, err := mkLogger(); err != nil {
 		return err
 	}

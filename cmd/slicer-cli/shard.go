@@ -49,18 +49,19 @@ func printShardStatus(addr string, opts wire.ClientOptions) {
 // prefixes; -hi 0 means 2^64. The range must currently live on one shard —
 // move each arc separately.
 func cmdRebalance(args []string) error {
-	fs := flag.NewFlagSet("rebalance", flag.ContinueOnError)
+	fs := flag.NewFlagSet("rebalance", flag.ExitOnError)
 	statePath, _, _, _, dialOpts := commonFlags(fs)
 	lo := fs.Uint64("lo", 0, "range start address (inclusive)")
 	hi := fs.Uint64("hi", 0, "range end address (exclusive; 0 means 2^64)")
 	to := fs.String("to", "", "destination shard ID")
 	show := fs.Bool("show", false, "print the routing table's arcs per shard and exit")
 	mkLogger := logFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	_ = fs.Parse(args)
 	if _, err := mkLogger(); err != nil {
 		return err
+	}
+	if !*show && *to == "" {
+		return usagef("-to is required (destination shard ID); use -show to list arcs")
 	}
 	st, err := loadState(*statePath)
 	if err != nil {
@@ -87,9 +88,6 @@ func cmdRebalance(args []string) error {
 			}
 		}
 		return nil
-	}
-	if *to == "" {
-		return fmt.Errorf("-to is required (destination shard ID); use -show to list arcs")
 	}
 	stats, err := rc.Rebalance(*lo, *hi, *to)
 	if err != nil {

@@ -21,12 +21,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
-	"slicer/internal/durable"
-	"slicer/internal/obs"
+	"slicer/cmd/internal/daemon"
 	"slicer/internal/shard"
 	"slicer/internal/wire"
 )
@@ -53,98 +50,61 @@ func parseShards(spec string) ([]shard.ShardSpec, error) {
 		specs = append(specs, shard.ShardSpec{ID: kv[0], Addr: kv[1]})
 	}
 	if len(specs) == 0 {
-		return nil, fmt.Errorf("-shards needs at least one id=host:port entry")
+		return nil, fmt.Errorf("-shards is required (e.g. -shards s1=127.0.0.1:7411,s2=127.0.0.1:7412)")
 	}
 	return specs, nil
 }
 
 func run() error {
-	listen := flag.String("listen", "127.0.0.1:7400", "address to listen on")
+	d := daemon.New("slicer-router", "127.0.0.1:7400", "durable data directory: routing-table + trapdoor-key WAL, crash-safe recovery at boot")
 	shardsFlag := flag.String("shards", "", "shard fleet: comma-separated id=host:port (required)")
-	dataDir := flag.String("data-dir", "", "durable data directory: routing-table + trapdoor-key WAL, crash-safe recovery at boot")
-	fsync := flag.String("fsync", "always", "WAL durability: always, never, or a flush interval like 100ms")
 	vnodes := flag.Int("vnodes", shard.DefaultVnodes, "consistent-hash points per shard for a fresh routing table")
 	ringEpochs := flag.Int("ring-epochs", 8, "past routing-table epochs retained in memory for inspection")
 	workers := flag.Int("workers", 0, "token-level search concurrency (0: one per core)")
 	batch := flag.Int("batch", shard.DefaultBatch, "first probe window of a walk; doubles each round")
-	admin := flag.String("admin", "", "optional admin HTTP address serving /metrics, /healthz, /debug/traces and /debug/pprof")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
-	logFormat := flag.String("log-format", "text", "log format: text or json")
-	idle := flag.Duration("idle-timeout", wire.DefaultIdleTimeout, "drop connections idle longer than this; 0 disables")
 	dialTO := flag.Duration("dial-timeout", wire.DefaultDialTimeout, "timeout for connecting to a shard")
 	callTO := flag.Duration("call-timeout", wire.DefaultCallTimeout, "per-shard-RPC deadline; 0 or negative disables")
-	traceCap := flag.Int("trace-capacity", obs.DefaultTraceCapacity, "how many recent propagated traces to retain for /debug/traces")
-	flag.Parse()
-
-	if *shardsFlag == "" {
-		return fmt.Errorf("-shards is required (e.g. -shards s1=127.0.0.1:7411,s2=127.0.0.1:7412)")
-	}
-	specs, err := parseShards(*shardsFlag)
-	if err != nil {
+	var specs []shard.ShardSpec
+	d.Parse(func() (err error) {
+		specs, err = parseShards(*shardsFlag)
 		return err
-	}
-	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
-	if err != nil {
-		return err
-	}
-	reg := obs.NewRegistry()
+	})
+	defer d.Close()
 
 	clientOpts := wire.ClientOptions{DialTimeout: *dialTO, CallTimeout: *callTO}
 	if *callTO <= 0 {
 		clientOpts.CallTimeout = -1
 	}
-	opts := shard.Options{
-		Shards:     specs,
-		DataDir:    *dataDir,
-		Vnodes:     *vnodes,
-		RingEpochs: *ringEpochs,
-		Workers:    *workers,
-		Batch:      *batch,
-		Registry:   reg,
-		Logger:     logger,
-		Client:     clientOpts,
-	}
-	if *dataDir != "" {
-		policy, interval, err := durable.ParsePolicy(*fsync)
-		if err != nil {
-			return err
-		}
-		opts.Fsync = policy
-		opts.FsyncInterval = interval
-	}
-	router, err := shard.NewRouter(opts)
+	router, err := shard.NewRouter(shard.Options{
+		Shards:        specs,
+		DataDir:       d.DataDir,
+		Fsync:         d.Fsync,
+		FsyncInterval: d.FsyncInterval,
+		Vnodes:        *vnodes,
+		RingEpochs:    *ringEpochs,
+		Workers:       *workers,
+		Batch:         *batch,
+		Registry:      d.Registry,
+		Logger:        d.Logger,
+		Client:        clientOpts,
+	})
 	if err != nil {
 		return err
 	}
-	defer router.Close()
-	router.Server().SetIdleTimeout(*idle)
-	router.Server().SetLogger(logger)
-	router.Traces().SetCapacity(*traceCap)
-
-	if *admin != "" {
-		adm, err := obs.StartAdminOpts(*admin, obs.AdminOptions{
-			Registry: reg,
-			Traces:   router.Traces(),
-			Logger:   logger,
-		})
-		if err != nil {
-			return fmt.Errorf("admin endpoint: %w", err)
-		}
-		defer adm.Close()
-		fmt.Printf("slicer-router: admin endpoint on http://%s/metrics\n", adm.Addr())
-	}
-
-	addr, err := router.Listen(*listen)
-	if err != nil {
+	if err := d.Start(router); err != nil {
 		return err
 	}
 	table := router.Table()
+	if d.DataDir != "" {
+		fmt.Printf("recovered from %s: table epoch %d\n", d.DataDir, table.Epoch)
+	}
+
+	addr, err := router.Listen(d.Listen)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("slicer-router: serving on %s, %d shards, table epoch %d (%d segments)\n",
 		addr, len(specs), table.Epoch, len(table.Segments))
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
-	fmt.Println("slicer-router: shutting down")
+	d.Wait()
 	return nil
 }

@@ -100,10 +100,7 @@ func cmdProbe(args []string) error {
 			// The refund evidence bundle is already journaled by the round
 			// as a KindRefund record; the probe record carries the verdict.
 			detail := fmt.Sprintf("request %x… refunded", res.ReqID[:8])
-			if res.VerifyErr != nil {
-				return detail, nil, fmt.Errorf("on-chain verification failed: %w", res.VerifyErr)
-			}
-			return detail, nil, fmt.Errorf("on-chain verification failed: payment refunded")
+			return detail, nil, fmt.Errorf("on-chain verification failed: %w", res.VerifyErr)
 		}
 		q := fmt.Sprintf("%s %d", *opFlag, *value)
 		if *attr != "" {

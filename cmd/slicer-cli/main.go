@@ -421,9 +421,7 @@ func cmdSearch(args []string) error {
 	fmt.Printf("escrowed %d on chain (request %x...)\n", *pay, res.ReqID[:6])
 	if !res.Settled {
 		fmt.Println("on-chain verification FAILED; payment refunded")
-		if res.VerifyErr != nil {
-			fmt.Println("local verification:", res.VerifyErr)
-		}
+		fmt.Println("local verification:", res.VerifyErr)
 		return nil
 	}
 	fmt.Printf("on-chain verification passed (gas %d); payment settled to the cloud\n", res.GasUsed)

@@ -99,10 +99,6 @@ type CallCtx struct {
 // GasUsed reports gas consumed so far in this call.
 func (c *CallCtx) GasUsed() uint64 { return c.meter.Used() }
 
-// UseGas charges raw gas (contracts use it for schedule items not covered
-// by a helper).
-func (c *CallCtx) UseGas(gas uint64) error { return c.meter.Use(gas) }
-
 // SLoad reads a storage slot, charging SloadGas.
 func (c *CallCtx) SLoad(k Slot) (Slot, bool, error) {
 	if err := c.meter.Use(SloadGas); err != nil {
@@ -133,28 +129,24 @@ func (c *CallCtx) Hash(data ...[]byte) (Hash, error) {
 	for _, d := range data {
 		total += len(d)
 	}
-	if err := c.meter.Use(HashGas(total)); err != nil {
+	if err := c.ChargeHash(total); err != nil {
 		return Hash{}, err
 	}
 	return HashBytes(data...), nil
 }
 
-// ModExp computes base^exp mod mod, charging the EIP-2565 precompile price.
-func (c *CallCtx) ModExp(base, exp, mod *big.Int) (*big.Int, error) {
-	cost := ModExpGas((base.BitLen()+7)/8, (mod.BitLen()+7)/8, exp)
-	if err := c.meter.Use(cost); err != nil {
-		return nil, err
-	}
-	return new(big.Int).Exp(base, exp, mod), nil
-}
+// ChargeHash charges the KECCAK schedule for hashing n bytes that the
+// contract hashes itself. It, ChargeFieldMul and ChargeModExp are the prices
+// of the verifier's work: the verifier computes, the chain only charges.
+func (c *CallCtx) ChargeHash(n int) error { return c.meter.Use(HashGas(n)) }
 
-// FieldMul computes a*b mod q, charging MULMOD pricing.
-func (c *CallCtx) FieldMul(a, b, q *big.Int) (*big.Int, error) {
-	if err := c.meter.Use(FieldMulGas); err != nil {
-		return nil, err
-	}
-	out := new(big.Int).Mul(a, b)
-	return out.Mod(out, q), nil
+// ChargeFieldMul charges MULMOD pricing for one 256-bit field multiplication.
+func (c *CallCtx) ChargeFieldMul() error { return c.meter.Use(FieldMulGas) }
+
+// ChargeModExp charges the EIP-2565 precompile price of raising a
+// baseLen-byte base to exp modulo a modLen-byte modulus.
+func (c *CallCtx) ChargeModExp(baseLen, modLen int, exp *big.Int) error {
+	return c.meter.Use(ModExpGas(baseLen, modLen, exp))
 }
 
 // EmitLog records an event.

@@ -176,11 +176,22 @@ func EncodeResults(results []core.TokenResult) ([]byte, error) {
 	return out, nil
 }
 
+// The shortest encodings of an er and of a token result: every decoded count
+// is capped by the bytes left, so a hostile count cannot allocate more than
+// its calldata could fill.
+const (
+	minERLen     = 2
+	minResultLen = 2 + 4 + 2 + 2 + 4 + 2 // empty token fields, no er, empty witness
+)
+
 // DecodeResults parses SubmitResult calldata back into token results.
 func DecodeResults(data []byte) ([]core.TokenResult, []byte, error) {
 	count, data, err := readU16(data)
 	if err != nil {
 		return nil, nil, err
+	}
+	if count > len(data)/minResultLen {
+		return nil, nil, errTruncated
 	}
 	results := make([]core.TokenResult, 0, count)
 	for i := 0; i < count; i++ {
@@ -193,6 +204,9 @@ func DecodeResults(data []byte) ([]core.TokenResult, []byte, error) {
 		n, data, err = readU32(data)
 		if err != nil {
 			return nil, nil, err
+		}
+		if n > len(data)/minERLen {
+			return nil, nil, errTruncated
 		}
 		res.ER = make([][]byte, 0, n)
 		for k := 0; k < n; k++ {

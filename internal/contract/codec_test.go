@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"slicer/internal/chain"
 	"slicer/internal/core"
 )
 
@@ -140,5 +141,55 @@ func TestEncodeTokenRejectsOversized(t *testing.T) {
 	tok := core.SearchToken{Trapdoor: make([]byte, 70000)}
 	if _, err := EncodeToken(nil, tok); err == nil {
 		t.Error("oversized trapdoor accepted")
+	}
+}
+
+// hostileERCount is one result whose er count, 0x7fffffff, is followed by
+// nothing: a decoder that sizes the er slice by the count before reading the
+// elements asks the runtime for two billion slice headers and dies with a
+// fatal out-of-memory error, which no recover can catch.
+func hostileERCount(tb testing.TB) []byte {
+	data, err := EncodeToken([]byte{0, 1}, sampleToken(3))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(data, 0x7f, 0xff, 0xff, 0xff)
+}
+
+// TestDecodeResultsCapsCounts: a count larger than the remaining bytes could
+// hold fails the decode, and a submission carrying one reverts with the
+// escrow still pending instead of stopping the chain node that executes it.
+func TestDecodeResultsCapsCounts(t *testing.T) {
+	for _, data := range [][]byte{hostileERCount(t), {0xff, 0xff}} {
+		if _, _, err := DecodeResults(data); err == nil {
+			t.Fatalf("DecodeResults(%x) succeeded", data)
+		}
+	}
+
+	f := newFixture(t, testDB)
+	req, err := f.user.Token(core.Equal(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := TokensHash(req.Tokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqID := chain.HashBytes([]byte("hostile count"))
+	if r := f.mine(&chain.Transaction{From: f.userAddr, To: f.contractAddr, Nonce: f.nonce(f.userAddr),
+		Value: 100, GasLimit: 1_000_000, Data: RequestData(reqID, f.cloudAddr, th)}); !r.Status {
+		t.Fatalf("request reverted: %s", r.Err)
+	}
+	data, err := SubmitData(reqID, f.owner.AccumulatorPub().Marshal(), f.owner.Ac(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append(data[:len(data)-2], hostileERCount(t)...) // no results -> the hostile one
+	if r := f.mine(&chain.Transaction{From: f.cloudAddr, To: f.contractAddr, Nonce: f.nonce(f.cloudAddr),
+		GasLimit: 10_000_000, Data: data}); r.Status {
+		t.Fatal("submission with a hostile er count did not revert")
+	}
+	if got := f.requestStatus(reqID); got != StatusPending {
+		t.Fatalf("request status = %d, want pending", got)
 	}
 }

@@ -22,6 +22,7 @@ func FuzzDecodeResults(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{0, 1})
+	f.Add(hostileERCount(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		results, rest, err := DecodeResults(data)
 		if err != nil {

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"math/big"
 
+	"slicer/internal/accumulator"
 	"slicer/internal/chain"
 	"slicer/internal/core"
-	"slicer/internal/mhash"
 )
 
 // RuntimeID identifies the Slicer contract runtime in the chain registry.
@@ -33,11 +33,6 @@ const (
 	StatusSettled  = 2
 	StatusRefunded = 3
 )
-
-// millerRabinOnChain is the number of Miller–Rabin rounds the metered
-// verifier charges for when certifying the final prime candidate; each
-// round is one small modular exponentiation via the modexp precompile.
-const millerRabinOnChain = 3
 
 // Storage slots.
 var (
@@ -359,10 +354,11 @@ func SubmitData(reqID chain.Hash, accParams []byte, ac *big.Int, results []core.
 	return append(out, enc...), nil
 }
 
-// submitResult implements Algorithm 5 with explicit gas metering and the
-// fair-exchange settlement: a valid proof pays the cloud, an invalid one
-// refunds the data user. Malformed submissions revert (the escrow stays
-// pending and the cloud can resubmit).
+// submitResult runs Algorithm 5 — core.VerifyTokenResult, the check the data
+// user runs, charged to this call's gas — and the fair-exchange settlement: a
+// valid proof pays the cloud, an invalid one refunds the data user.
+// Malformed submissions revert (the escrow stays pending and the cloud can
+// resubmit).
 func (s *Slicer) submitResult(ctx *chain.CallCtx, data []byte) ([]byte, error) {
 	if len(data) < 32 {
 		return nil, errTruncated
@@ -410,7 +406,7 @@ func (s *Slicer) submitResult(ctx *chain.CallCtx, data []byte) ([]byte, error) {
 	if subtle.ConstantTimeCompare(pd[:], wantPD[:]) != 1 {
 		return nil, errors.New("contract: accumulator parameters do not match deployment digest")
 	}
-	pp, err := decodeAccParams(paramsBytes)
+	pp, err := accumulator.UnmarshalPublic(paramsBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -444,8 +440,8 @@ func (s *Slicer) submitResult(ctx *chain.CallCtx, data []byte) ([]byte, error) {
 		return nil, errors.New("contract: trailing bytes after results")
 	}
 
-	// Completeness binding: the submitted token sequence must hash to the
-	// escrowed tokens hash.
+	// The response rule: result i answers request token i, one result per
+	// token, so the submitted token sequence must hash to the escrowed one.
 	tokens := make([]core.SearchToken, len(results))
 	for i := range results {
 		tokens[i] = results[i].Token
@@ -464,16 +460,9 @@ func (s *Slicer) submitResult(ctx *chain.CallCtx, data []byte) ([]byte, error) {
 	}
 
 	valid := subtle.ConstantTimeCompare(th[:], wantTH[:]) == 1
-	if valid {
-		for _, res := range results {
-			ok, err := verifyMetered(ctx, pp.n, pp.g, ac, res)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				valid = false
-				break
-			}
+	for i := 0; valid && i < len(results); i++ {
+		if valid, err = core.VerifyTokenResult(pp, ac, results[i], ctx); err != nil {
+			return nil, err
 		}
 	}
 
@@ -514,65 +503,6 @@ func (s *Slicer) submitResult(ctx *chain.CallCtx, data []byte) ([]byte, error) {
 	return []byte{0}, nil
 }
 
-// verifyMetered runs Algorithm 5 for one token result, charging the gas
-// meter for every cryptographic operation:
-//
-//	h  <- multiset hash of er     (one hash + one field mul per element)
-//	x  <- H_prime(t||j||G1||G2||h) (one hash per probe + Miller–Rabin)
-//	ok <- VerifyMem(x, vo)        (one big modexp via the precompile)
-func verifyMetered(ctx *chain.CallCtx, n, g, ac *big.Int, res core.TokenResult) (bool, error) {
-	q := mhash.Modulus()
-	h := big.NewInt(1)
-	for _, er := range res.ER {
-		elem, hashCalls := mhash.HashToField(er)
-		for i := 0; i < hashCalls; i++ {
-			if _, err := ctx.Hash(er); err != nil {
-				return false, err
-			}
-		}
-		var err error
-		h, err = ctx.FieldMul(h, elem, q)
-		if err != nil {
-			return false, err
-		}
-	}
-	mh, err := mhash.FromValue(h)
-	if err != nil {
-		// h == 1 is H(∅); FromValue accepts it (1 is in GF(q)*), so an error
-		// here means a corrupted field element.
-		return false, nil
-	}
-
-	x, probes := core.TokenPrimeCount(res.Token, mh)
-	// Charge one hash per probed candidate plus a Miller–Rabin certificate
-	// for the final prime (each round one small modexp).
-	probeCost := chain.HashGas(len(res.Token.Trapdoor)+8+len(res.Token.G1)+len(res.Token.G2)+32) +
-		uint64(probes)*chain.HashGas(16)
-	if err := ctx.UseGas(probeCost); err != nil {
-		return false, err
-	}
-	mrExp := new(big.Int).Sub(x, big.NewInt(1))
-	for i := 0; i < millerRabinOnChain; i++ {
-		if err := ctx.UseGas(chain.ModExpGas(16, 16, mrExp)); err != nil {
-			return false, err
-		}
-	}
-
-	if len(res.Witness) == 0 {
-		return false, nil
-	}
-	w := new(big.Int).SetBytes(res.Witness)
-	if w.Sign() <= 0 || w.Cmp(n) >= 0 {
-		return false, nil
-	}
-	got, err := ctx.ModExp(w, x, n)
-	if err != nil {
-		return false, err
-	}
-	_ = g
-	return got.Cmp(ac) == 0, nil
-}
-
 func (s *Slicer) getAcDigest(ctx *chain.CallCtx) ([]byte, error) {
 	v, ok, err := ctx.SLoad(slotAcDigest)
 	if err != nil {
@@ -605,36 +535,4 @@ func (s *Slicer) getRequest(ctx *chain.CallCtx, data []byte) ([]byte, error) {
 		return nil, err
 	}
 	return []byte{byte(chain.SlotU64(st)), pay[24], pay[25], pay[26], pay[27], pay[28], pay[29], pay[30], pay[31]}, nil
-}
-
-// accParams is the parsed accumulator public parameters.
-type accParams struct {
-	n, g *big.Int
-}
-
-func decodeAccParams(data []byte) (*accParams, error) {
-	nb, rest, err := readChunk(data)
-	if err != nil {
-		return nil, err
-	}
-	gb, _, err := readChunk(rest)
-	if err != nil {
-		return nil, err
-	}
-	p := &accParams{n: new(big.Int).SetBytes(nb), g: new(big.Int).SetBytes(gb)}
-	if p.n.Sign() <= 0 || p.g.Sign() <= 0 {
-		return nil, errors.New("contract: invalid accumulator parameters")
-	}
-	return p, nil
-}
-
-func readChunk(data []byte) (chunk, rest []byte, err error) {
-	if len(data) < 4 {
-		return nil, nil, errTruncated
-	}
-	n := int(data[0])<<24 | int(data[1])<<16 | int(data[2])<<8 | int(data[3])
-	if n < 0 || len(data)-4 < n {
-		return nil, nil, errTruncated
-	}
-	return data[4 : 4+n], data[4+n:], nil
 }

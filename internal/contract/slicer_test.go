@@ -9,7 +9,7 @@ import (
 
 // fixture wires a Slicer deployment to a 3-validator chain network.
 type fixture struct {
-	t       *testing.T
+	t       testing.TB
 	network *chain.Network
 	owner   *core.Owner
 	user    *core.User
@@ -19,7 +19,7 @@ type fixture struct {
 	contractAddr                   chain.Address
 }
 
-func newFixture(t *testing.T, db []core.Record) *fixture {
+func newFixture(t testing.TB, db []core.Record) *fixture {
 	t.Helper()
 	params := core.Params{Bits: 8, TrapdoorBits: 256, AccumulatorBits: 256}
 	owner, err := core.NewOwner(params)

@@ -547,8 +547,8 @@ func (c *Cloud) collectResults(tok SearchToken) ([][]byte, error) {
 // witnessFor derives the prime representative for (token, results) and
 // produces its membership witness.
 func (c *Cloud) witnessFor(tok SearchToken, er [][]byte) ([]byte, error) {
-	h := mhash.OfMultiset(er)
-	return c.witnessForPrime(tokenPrime(tok.Trapdoor, tok.Epoch, tok.G1, tok.G2, h))
+	x, _ := tokenPrime(tok.Trapdoor, tok.Epoch, tok.G1, tok.G2, mhash.OfMultiset(er))
+	return c.witnessForPrime(x)
 }
 
 // witnessForPrime produces the membership witness for a prime

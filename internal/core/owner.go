@@ -175,7 +175,7 @@ func derivePrimes(commits []primeInput) []*big.Int {
 	}
 	if workers <= 1 {
 		for i, c := range commits {
-			primes[i] = tokenPrime(c.t, c.j, c.g1, c.g2, c.h)
+			primes[i], _ = tokenPrime(c.t, c.j, c.g1, c.g2, c.h)
 		}
 		return primes
 	}
@@ -191,7 +191,7 @@ func derivePrimes(commits []primeInput) []*big.Int {
 					return
 				}
 				c := commits[i]
-				primes[i] = tokenPrime(c.t, c.j, c.g1, c.g2, c.h)
+				primes[i], _ = tokenPrime(c.t, c.j, c.g1, c.g2, c.h)
 			}
 		}()
 	}

@@ -1,22 +1,23 @@
 package core
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"math/big"
 
 	"slicer/internal/accumulator"
+	"slicer/internal/hprime"
 	"slicer/internal/mhash"
 	"slicer/internal/obs"
 )
 
 // Verification phases, naming which check of Algorithm 5 a response failed.
 const (
-	// PhaseCompleteness: the response does not answer every requested token
-	// exactly once (a lazy cloud dropped or padded results).
+	// PhaseCompleteness: the response does not hold exactly one result per
+	// requested token (a lazy cloud dropped or padded results).
 	PhaseCompleteness = "completeness"
-	// PhaseOrder: a result answers a token the request never issued — the
-	// response does not respect the requested token multiset.
+	// PhaseOrder: result i does not answer request token i.
 	PhaseOrder = "order"
 	// PhaseMembership: a result's accumulator membership proof is invalid
 	// (tampered encrypted results, witness or stale accumulation value).
@@ -58,24 +59,84 @@ func AsVerificationError(err error) (*VerificationError, bool) {
 	return nil, false
 }
 
+// Meter prices the work of Algorithm 5 as the verifier does it. The
+// contract passes its *chain.CallCtx, which charges gas and fails once the
+// transaction runs out; off-chain callers pass nil, which is free.
+type Meter interface {
+	ChargeHash(n int) error
+	ChargeFieldMul() error
+	ChargeModExp(baseLen, modLen int, exp *big.Int) error
+}
+
+type freeMeter struct{}
+
+func (freeMeter) ChargeHash(int) error                  { return nil }
+func (freeMeter) ChargeFieldMul() error                 { return nil }
+func (freeMeter) ChargeModExp(int, int, *big.Int) error { return nil }
+
+// millerRabinRounds is how many Miller–Rabin rounds the meter charges for
+// certifying the prime representative, each one modexp at prime width.
+const millerRabinRounds = 3
+
 // VerifyTokenResult runs Algorithm 5 for a single token result against the
 // accumulation value ac (fetched from the blockchain): recompute the
 // multiset hash of the returned encrypted results, re-derive the prime
-// representative and check the membership witness.
-func VerifyTokenResult(pp *accumulator.PublicParams, ac *big.Int, res TokenResult) bool {
-	h := mhash.OfMultiset(res.ER)
-	x := tokenPrime(res.Token.Trapdoor, res.Token.Epoch, res.Token.G1, res.Token.G2, h)
+// representative and check the membership witness, which must be exactly
+// pp.Size() bytes. It is the one implementation: the data user's check and
+// the contract's verdict both run it.
+//
+// m is charged as the work happens — per er one hash per rejection-sampling
+// attempt and one field multiply, then H_prime's input hash and one hash per
+// probe, the Miller–Rabin rounds and the witness modexp — so a hostile
+// submission runs out of gas before it gets unpaid work. Only m's errors are
+// returned.
+func VerifyTokenResult(pp *accumulator.PublicParams, ac *big.Int, res TokenResult, m Meter) (bool, error) {
+	if m == nil {
+		m = freeMeter{}
+	}
+	h := mhash.Empty()
+	for _, er := range res.ER {
+		var attempts int
+		h, attempts = h.AddCount(er)
+		for ; attempts > 0; attempts-- {
+			if err := m.ChargeHash(len(er)); err != nil {
+				return false, err
+			}
+		}
+		if err := m.ChargeFieldMul(); err != nil {
+			return false, err
+		}
+	}
+	tok := res.Token
+	x, probes := tokenPrime(tok.Trapdoor, tok.Epoch, tok.G1, tok.G2, h)
+	if err := m.ChargeHash(len(tok.Trapdoor) + 8 + len(tok.G1) + len(tok.G2) + mhash.Size); err != nil {
+		return false, err
+	}
+	for ; probes > 0; probes-- {
+		if err := m.ChargeHash(hprime.PrimeBytes); err != nil {
+			return false, err
+		}
+	}
+	xm1 := new(big.Int).Sub(x, big.NewInt(1))
+	for i := 0; i < millerRabinRounds; i++ {
+		if err := m.ChargeModExp(hprime.PrimeBytes, hprime.PrimeBytes, xm1); err != nil {
+			return false, err
+		}
+	}
 	w, err := pp.DecodeValue(res.Witness)
 	if err != nil {
-		return false
+		return false, nil
 	}
-	return pp.VerifyMem(ac, x, w)
+	if err := m.ChargeModExp(len(res.Witness), pp.Size(), x); err != nil {
+		return false, err
+	}
+	return pp.VerifyMem(ac, x, w), nil
 }
 
 // VerifyResponse verifies a full search response against the request it
-// answers. It enforces completeness at the response level too: the cloud
-// must answer every requested token exactly once, otherwise a lazy cloud
-// could silently drop tokens whose results it does not want to return.
+// answers, under the contract's response rule: exactly one result per
+// requested token, result i answering token i, so a lazy cloud can neither
+// drop tokens whose results it does not want to return nor pad or reorder.
 //
 // Algorithm 5 is independent per token result, so the per-result proof
 // checks (multiset hash + hash-to-prime + witness modexp) fan out across
@@ -106,22 +167,18 @@ func VerifyResponseWorkers(pp *accumulator.PublicParams, ac *big.Int, req *Searc
 		return &VerificationError{TokenIndex: -1, Phase: PhaseCompleteness,
 			Detail: fmt.Sprintf("%d results for %d tokens", len(resp.Results), len(req.Tokens))}
 	}
-	// Response-level completeness accounting is sequential (shared map,
-	// negligible cost); only the per-result cryptographic checks fan out.
-	remaining := make(map[string]int, len(req.Tokens))
-	for _, tok := range req.Tokens {
-		remaining[tokenKey(tok)]++
-	}
 	for i, res := range resp.Results {
-		key := tokenKey(res.Token)
-		if remaining[key] == 0 {
+		if !sameToken(res.Token, req.Tokens[i]) {
 			return &VerificationError{TokenIndex: i, Phase: PhaseOrder,
-				Detail: "answers a token that was not requested"}
+				Detail: fmt.Sprintf("does not answer request token %d", i)}
 		}
-		remaining[key]--
 	}
 	return ForEachIndexed(len(resp.Results), EffectiveWorkers(workers), func(i int) error {
-		if !VerifyTokenResult(pp, ac, resp.Results[i]) {
+		ok, err := VerifyTokenResult(pp, ac, resp.Results[i], nil)
+		if err != nil {
+			return err
+		}
+		if !ok {
 			return &VerificationError{TokenIndex: i, Phase: PhaseMembership,
 				Detail: "invalid membership proof"}
 		}
@@ -129,12 +186,9 @@ func VerifyResponseWorkers(pp *accumulator.PublicParams, ac *big.Int, req *Searc
 	})
 }
 
-func tokenKey(tok SearchToken) string {
-	key := make([]byte, 0, len(tok.Trapdoor)+8+len(tok.G1)+len(tok.G2))
-	key = append(key, tok.Trapdoor...)
-	key = append(key,
-		byte(tok.Epoch>>56), byte(tok.Epoch>>48), byte(tok.Epoch>>40), byte(tok.Epoch>>32),
-		byte(tok.Epoch>>24), byte(tok.Epoch>>16), byte(tok.Epoch>>8), byte(tok.Epoch))
-	key = append(key, tok.G1...)
-	return string(append(key, tok.G2...))
+// sameToken compares two tokens in constant time; the contract compares the
+// same sequence through the tokens hash the user escrowed.
+func sameToken(a, b SearchToken) bool {
+	return a.Epoch == b.Epoch && subtle.ConstantTimeCompare(a.Trapdoor, b.Trapdoor)&
+		subtle.ConstantTimeCompare(a.G1, b.G1)&subtle.ConstantTimeCompare(a.G2, b.G2) == 1
 }

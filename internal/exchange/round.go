@@ -122,12 +122,14 @@ type Result struct {
 	Settled   bool
 	GasUsed   uint64 // of the submission, i.e. of the on-chain verification
 	Response  *core.SearchResponse
-	VerifyErr error // local re-run of the public verification after a refund
+	VerifyErr error // why the response fails Algorithm 5; set exactly when refunded
 }
 
 // Run executes escrow → search → submit → settle-or-refund for req, with the
 // "escrow", "cloud_search" and "settle" phases recorded into tr (nil is fine).
-// A refund is a completed round with Settled false, not an error.
+// A refund is a completed round with Settled false, not an error. A refund of
+// a response that passes core.VerifyResponse, the check the contract runs, is
+// an error: the chain endpoint lied or the verifiers diverged.
 func (r *Round) Run(req *core.SearchRequest, fee uint64, tr *obs.Trace) (*Result, error) {
 	r.Metrics.searches.Inc()
 	th, err := contract.TokensHash(req.Tokens)
@@ -181,7 +183,9 @@ func (r *Round) Run(req *core.SearchRequest, fee uint64, tr *obs.Trace) (*Result
 		return res, nil
 	}
 	r.Metrics.refunded.Inc()
-	res.VerifyErr = core.VerifyResponse(r.AccPub, r.Ac, req, resp)
+	if res.VerifyErr = core.VerifyResponse(r.AccPub, r.Ac, req, resp); res.VerifyErr == nil {
+		return nil, fmt.Errorf("exchange: request %x refunded by transaction %s, but its response verifies", reqID, subTx.Hash())
+	}
 	r.logRefund(res, subTx.Hash(), req, rc)
 	return res, nil
 }
@@ -195,7 +199,7 @@ func (r *Round) log(ev audit.Event) {
 // logRefund journals a refund with its evidence bundle: the tokens judged
 // against, the raw response as submitted, Ac and the public parameters (so the
 // check is replayable from the bundle alone) and the receipt, attributed to
-// the phase and token index the local re-run failed at. Evidence is durable
+// the phase and token index verification failed at. Evidence is durable
 // before Log returns.
 func (r *Round) logRefund(res *Result, txHash chain.Hash, req *core.SearchRequest, rc *wire.ReceiptMsg) {
 	if r.Audit == nil {
@@ -216,14 +220,10 @@ func (r *Round) logRefund(res *Result, txHash chain.Hash, req *core.SearchReques
 	if b, err := json.Marshal(res.Response); err == nil {
 		ev.Response = b
 	}
-	detail := fmt.Sprintf("request %x… refunded", res.ReqID[:8])
-	if res.VerifyErr != nil {
-		if ve, ok := core.AsVerificationError(res.VerifyErr); ok {
-			ev.Phase = ve.Phase
-			ev.TokenIndex = ve.TokenIndex
-		}
-		detail += ": " + res.VerifyErr.Error()
+	if ve, ok := core.AsVerificationError(res.VerifyErr); ok {
+		ev.Phase, ev.TokenIndex = ve.Phase, ve.TokenIndex
 	}
+	detail := fmt.Sprintf("request %x… refunded: %v", res.ReqID[:8], res.VerifyErr)
 	r.log(audit.Event{Kind: audit.KindRefund, Outcome: audit.OutcomeFail, Detail: detail, Evidence: ev})
 }
 

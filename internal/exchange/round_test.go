@@ -161,11 +161,11 @@ func TestRoundTable(t *testing.T) {
 			},
 		},
 		{
-			// The contract is the judge: a refund the local re-run cannot
-			// explain still leaves the bundle, unattributed.
+			// The user runs the contract's Algorithm 5: a refund it cannot
+			// explain means the chain endpoint lied or the verifiers diverged.
 			name: "refund of a response that verifies locally", script: []mined{escrowed, refund}, nonceErrAt: -1,
-			wantGas: 555, wantTxs: 2, wantSearch: 1,
-			wantKinds: []string{audit.KindSearch, audit.KindRefund},
+			wantErr: "refunded by transaction ", wantTxs: 2, wantSearch: 1,
+			wantKinds: []string{audit.KindSearch},
 		},
 		{
 			name: "settle without an audit ledger", script: []mined{escrowed, settle}, nonceErrAt: -1, noAudit: true,
@@ -315,7 +315,7 @@ func TestRoundTable(t *testing.T) {
 				t.Fatalf("audit kinds = %v, want %v", kinds, tc.wantKinds)
 			}
 			if n := len(kinds); n > 0 && kinds[n-1] == audit.KindRefund {
-				checkEvidence(t, records[0], round, res, req, ledger.txs[1], tc.wantVerify)
+				checkEvidence(t, records[0], round, res, req, ledger.txs[1])
 			}
 		})
 	}
@@ -323,7 +323,7 @@ func TestRoundTable(t *testing.T) {
 
 // checkEvidence requires every field of a refund's bundle to be what the
 // round held when the contract rejected the submission.
-func checkEvidence(t *testing.T, rec *audit.Record, round *Round, res *Result, req *core.SearchRequest, submit *chain.Transaction, attributed bool) {
+func checkEvidence(t *testing.T, rec *audit.Record, round *Round, res *Result, req *core.SearchRequest, submit *chain.Transaction) {
 	t.Helper()
 	ev := rec.Evidence
 	if rec.Outcome != audit.OutcomeFail {
@@ -344,16 +344,12 @@ func checkEvidence(t *testing.T, rec *audit.Record, round *Round, res *Result, r
 	if ev.GasUsed != res.GasUsed || !bytes.Equal(ev.ReturnData, []byte{0}) {
 		t.Errorf("evidence gas %d return %v", ev.GasUsed, ev.ReturnData)
 	}
-	if attributed {
-		ve, ok := core.AsVerificationError(res.VerifyErr)
-		if !ok || ev.Phase != ve.Phase || ev.TokenIndex != ve.TokenIndex || ev.Phase == "" || ev.TokenIndex < 0 {
-			t.Errorf("evidence phase %q token %d, verification error %v", ev.Phase, ev.TokenIndex, res.VerifyErr)
-		}
-		if !strings.HasSuffix(rec.Detail, "refunded: "+res.VerifyErr.Error()) {
-			t.Errorf("refund detail %q does not carry the verification error", rec.Detail)
-		}
-	} else if ev.Phase != "" || ev.TokenIndex != -1 || !strings.HasSuffix(rec.Detail, "refunded") {
-		t.Errorf("unattributed refund: phase %q token %d detail %q", ev.Phase, ev.TokenIndex, rec.Detail)
+	ve, ok := core.AsVerificationError(res.VerifyErr)
+	if !ok || ev.Phase != ve.Phase || ev.TokenIndex != ve.TokenIndex || ev.Phase == "" || ev.TokenIndex < 0 {
+		t.Errorf("evidence phase %q token %d, verification error %v", ev.Phase, ev.TokenIndex, res.VerifyErr)
+	}
+	if !strings.HasSuffix(rec.Detail, "refunded: "+res.VerifyErr.Error()) {
+		t.Errorf("refund detail %q does not carry the verification error", rec.Detail)
 	}
 }
 

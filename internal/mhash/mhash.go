@@ -48,45 +48,17 @@ func mustHex(s string) *big.Int {
 	return v
 }
 
-// Modulus returns the field prime q. The on-chain verifier recomputes the
-// multiset hash with explicitly metered field multiplications and needs the
-// modulus for that.
+// Modulus returns the field prime q. The chain's state root divides one
+// multiset hash by another and needs the modulus for the inverse.
 func Modulus() *big.Int { return new(big.Int).Set(q) }
 
-// HashToField exposes the element-to-field mapping H(b) so the metered
-// on-chain verifier can reproduce hash values multiplication by
-// multiplication. It also reports how many hash invocations the rejection
-// sampling consumed, which the verifier charges for.
-func HashToField(element []byte) (v *big.Int, hashCalls int) {
-	for ctr := byte(0); ; ctr++ {
-		h := sha256.New()
-		h.Write([]byte("slicer/mset-mu-hash/v1"))
-		h.Write([]byte{ctr})
-		h.Write(element)
-		out := new(big.Int).SetBytes(h.Sum(nil))
-		out.Mod(out, q)
-		if out.Cmp(one) > 0 {
-			return out, int(ctr) + 1
-		}
-	}
-}
-
-// Value returns the hash's field element (a copy), for verifiers that
-// compare against an independently recomputed product.
+// Value returns the hash's field element (a copy), for arithmetic the Hash
+// methods do not offer, such as that quotient.
 func (h Hash) Value() *big.Int {
 	if h.v == nil {
 		return new(big.Int)
 	}
 	return new(big.Int).Set(h.v)
-}
-
-// FromValue wraps a field element as a Hash. It is the inverse of Value and
-// exists for the metered verifier; elements outside GF(q)* are rejected.
-func FromValue(v *big.Int) (Hash, error) {
-	if v.Sign() <= 0 || v.Cmp(q) >= 0 {
-		return Hash{}, errors.New("mhash: value outside GF(q)*")
-	}
-	return Hash{v: new(big.Int).Set(v)}, nil
 }
 
 // Hash is an incrementally updatable multiset hash value. The zero value is
@@ -102,8 +74,9 @@ func Empty() Hash {
 
 // hashToField maps an element into GF(q)* \ {1}. Rejection-samples over a
 // counter to avoid modulo bias mattering (negligible at 256 bits anyway) and
-// to dodge the degenerate values 0 and 1.
-func hashToField(element []byte) *big.Int {
+// to dodge the degenerate values 0 and 1. It also reports how many hash
+// attempts that took, which is almost always one.
+func hashToField(element []byte) (*big.Int, int) {
 	for ctr := byte(0); ; ctr++ {
 		h := sha256.New()
 		h.Write([]byte("slicer/mset-mu-hash/v1"))
@@ -112,7 +85,7 @@ func hashToField(element []byte) *big.Int {
 		v := new(big.Int).SetBytes(h.Sum(nil))
 		v.Mod(v, q)
 		if v.Cmp(one) > 0 {
-			return v
+			return v, int(ctr) + 1
 		}
 	}
 }
@@ -120,9 +93,17 @@ func hashToField(element []byte) *big.Int {
 // Add returns the hash of the multiset with one more occurrence of element.
 // The receiver is not modified.
 func (h Hash) Add(element []byte) Hash {
-	out := new(big.Int).Mul(h.v, hashToField(element))
+	out, _ := h.AddCount(element)
+	return out
+}
+
+// AddCount is Add instrumented with the number of hash attempts mapping
+// element into the field took; a gas meter charges one hash per attempt.
+func (h Hash) AddCount(element []byte) (Hash, int) {
+	e, attempts := hashToField(element)
+	out := new(big.Int).Mul(h.v, e)
 	out.Mod(out, q)
-	return Hash{v: out}
+	return Hash{v: out}, attempts
 }
 
 // Remove returns the hash with one occurrence of element removed. It is the
@@ -130,7 +111,8 @@ func (h Hash) Add(element []byte) Hash {
 // the hash of the (formal) multiset with multiplicity -1, so callers must
 // track multiplicities themselves.
 func (h Hash) Remove(element []byte) Hash {
-	inv := new(big.Int).ModInverse(hashToField(element), q)
+	e, _ := hashToField(element)
+	inv := new(big.Int).ModInverse(e, q)
 	out := new(big.Int).Mul(h.v, inv)
 	out.Mod(out, q)
 	return Hash{v: out}

@@ -113,24 +113,22 @@ func TestUnmarshalRejectsBadWidthAndRange(t *testing.T) {
 
 func TestHashToFieldInRange(t *testing.T) {
 	f := func(element []byte) bool {
-		v, calls := HashToField(element)
-		return calls >= 1 && v.Sign() > 0 && v.Cmp(q) < 0 && v.Cmp(one) > 0
+		v, attempts := hashToField(element)
+		return attempts >= 1 && v.Sign() > 0 && v.Cmp(q) < 0 && v.Cmp(one) > 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestValueFromValueRoundTrip(t *testing.T) {
-	h := OfMultiset([][]byte{[]byte("a"), []byte("b")})
-	got, err := FromValue(h.Value())
-	if err != nil {
-		t.Fatalf("FromValue: %v", err)
+func TestAddCountIsAdd(t *testing.T) {
+	f := func(a, b []byte) bool {
+		h := Empty().Add(a)
+		got, attempts := h.AddCount(b)
+		_, want := hashToField(b)
+		return got.Equal(h.Add(b)) && attempts == want
 	}
-	if !got.Equal(h) {
-		t.Error("Value/FromValue round trip mismatch")
-	}
-	if _, err := FromValue(q); err == nil {
-		t.Error("FromValue accepted a value outside GF(q)*")
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }

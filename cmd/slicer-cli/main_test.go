@@ -96,7 +96,10 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"search", "-state", state}, 1, "read state (did you run init?)"},
 		{[]string{"status", "-state", state}, 1, "read state (did you run init?)"},
 	} {
-		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+		// Name the case after the file, not its temporary directory, so the
+		// subtest keeps one name from run to run.
+		name := strings.ReplaceAll(strings.Join(tc.args, " "), state, filepath.Base(state))
+		t.Run(name, func(t *testing.T) {
 			code, stdout, stderr := runBin(t, tc.args...)
 			out := stderr
 			if tc.code == 0 {

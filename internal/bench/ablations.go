@@ -345,102 +345,6 @@ func (r *Runner) AblationWitness() (*Table, error) {
 	return t, nil
 }
 
-// AblationWitnessMaintenance compares cached-witness maintenance
-// strategies on insert, driving real Cloud instances end to end: the eager
-// strategy pays inside ApplyUpdate (refresh every cached witness, or
-// RootFactor rebuild for large batches), while the default lazy strategy
-// journals one batch product per update and each witness folds its pending
-// exponents only when next served — so the first search after an update
-// carries the fold cost.
-func (r *Runner) AblationWitnessMaintenance() (*Table, error) {
-	r.progress("ablation: witness maintenance on insert ...")
-	const bits = 8
-	db := workload.Generate(workload.Config{N: 200, Bits: bits, Seed: 1201})
-	owner, err := core.NewOwner(r.scale.Params(bits))
-	if err != nil {
-		return nil, err
-	}
-	out, err := owner.Build(db)
-	if err != nil {
-		return nil, err
-	}
-	newCloud := func(eager bool) (*core.Cloud, error) {
-		st := owner.CloudInit(out.Index)
-		st.Params.EagerWitnessRefresh = eager
-		return core.NewCloud(st, core.WitnessCached)
-	}
-	eager, err := newCloud(true)
-	if err != nil {
-		return nil, err
-	}
-	lazy, err := newCloud(false)
-	if err != nil {
-		return nil, err
-	}
-	user, err := core.NewUser(owner.ClientState())
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:      "ablation-witness-maintenance",
-		Title:   "Cached-witness maintenance on insert: eager vs lazy journal",
-		Headers: []string{"records⁺", "|X⁺|", "eager update", "lazy update", "lazy 1st search", "eager search"},
-	}
-	q := core.Greater(1 << (bits - 1))
-	nextID := uint64(100_000)
-	for _, added := range []int{1, 8, 32} {
-		batch := workload.Generate(workload.Config{
-			N: added, Bits: bits, Seed: int64(added) * 31, FirstID: nextID,
-		})
-		nextID += uint64(added)
-		upd, err := owner.Insert(batch)
-		if err != nil {
-			return nil, err
-		}
-
-		start := time.Now()
-		if err := eager.ApplyUpdate(upd); err != nil {
-			return nil, err
-		}
-		eagerUpd := time.Since(start)
-
-		start = time.Now()
-		if err := lazy.ApplyUpdate(upd); err != nil {
-			return nil, err
-		}
-		lazyUpd := time.Since(start)
-
-		req, err := user.Token(q)
-		if err != nil {
-			return nil, err
-		}
-		start = time.Now()
-		respL, err := lazy.Search(req)
-		if err != nil {
-			return nil, err
-		}
-		lazySearch := time.Since(start)
-
-		start = time.Now()
-		respE, err := eager.Search(req)
-		if err != nil {
-			return nil, err
-		}
-		eagerSearch := time.Since(start)
-
-		rawL, _ := json.Marshal(respL)
-		rawE, _ := json.Marshal(respE)
-		if !bytes.Equal(rawL, rawE) {
-			return nil, fmt.Errorf("bench: lazy and eager clouds served different responses")
-		}
-		t.AddRow(strconv.Itoa(added), strconv.Itoa(len(upd.Primes)),
-			fmt.Sprint(eagerUpd), fmt.Sprint(lazyUpd),
-			fmt.Sprint(lazySearch), fmt.Sprint(eagerSearch))
-	}
-	t.AddNote("eager refreshes every cached witness inside the update write lock (rebuilding via RootFactor past the crossover); lazy appends one journal entry per update and folds pending exponents into a witness when it is next served")
-	return t, nil
-}
-
 // AblationVOvsMerkle compares the RSA accumulator's constant-size VO with a
 // Merkle-tree inclusion proof over the same committed set — the design
 // trade-off §III-B claims motivates the accumulator.

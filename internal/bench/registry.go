@@ -36,7 +36,6 @@ func Experiments() []Experiment {
 		{"ablation-range-strategy", "Range strategies: intersection vs prefix cover", (*Runner).AblationRangeStrategy},
 		{"ablation-accumulator", "Accumulator update strategies", (*Runner).AblationAccumulator},
 		{"ablation-witness", "Witness generation strategies", (*Runner).AblationWitness},
-		{"ablation-witness-maintenance", "Cached-witness maintenance on insert", (*Runner).AblationWitnessMaintenance},
 		{"ablation-fastpath", "Big-number fast paths: aggregation, comb, witness tree", (*Runner).AblationFastpath},
 		{"ablation-parallel-search", "Serial vs parallel search & verification pipeline", (*Runner).AblationParallelSearch},
 		{"ablation-vo-merkle", "Accumulator VO vs Merkle proof", (*Runner).AblationVOvsMerkle},

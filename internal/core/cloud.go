@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
 	"runtime"
@@ -23,14 +22,16 @@ type WitnessMode int
 
 const (
 	// WitnessCached precomputes witnesses for every accumulated prime with
-	// the RootFactor algorithm and maintains them incrementally on insert.
-	// Query-time VO generation is then a single lookup plus the final
-	// exponentiations. This matches the fast VO-generation times of the
+	// the RootFactor algorithm and maintains them lazily on insert (see
+	// ApplyUpdate). Query-time VO generation is then a single lookup plus
+	// the pending folds. This matches the fast VO-generation times of the
 	// paper's evaluation.
 	WitnessCached WitnessMode = iota + 1
-	// WitnessOnDemand computes each witness at query time with O(|X|)
-	// modular exponentiations. Cheaper on insert, slower on search; used by
-	// the ablation benchmark.
+	// WitnessOnDemand derives each witness at query time from a memoized
+	// RootFactor tree over the current prime list, rebuilt on every update.
+	// Cheaper on insert, slower on search; the paper's VO-cost figures
+	// (fig5b/fig5d) use it. It never touches the lazy journal, so it is also
+	// the reference the cached mode's witnesses are tested against.
 	WitnessOnDemand
 )
 
@@ -70,9 +71,9 @@ type Cloud struct {
 }
 
 // witEntry is one cached witness. Entries mutate in two places: under the
-// cloud's write lock (eager refresh, rebuild), or under the entry's own
-// mutex while the caller holds the cloud's read lock (lazy fold on serve) —
-// the write lock excludes readers, so the two never race.
+// cloud's write lock (rebuild), or under the entry's own mutex while the
+// caller holds the cloud's read lock (lazy fold on serve) — the write lock
+// excludes readers, so the two never race.
 type witEntry struct {
 	mu sync.Mutex
 	w  *big.Int // materialized witness; nil while batch is pending
@@ -88,11 +89,10 @@ type witEntry struct {
 // from, plus a comb table over it, built at most once when the batch is big
 // enough that table reuse across the batch's witnesses pays for the build.
 type updateBatch struct {
-	base  *big.Int
-	size  int
-	teeth int
-	once  sync.Once
-	fb    *accumulator.FixedBase
+	base *big.Int
+	size int
+	once sync.Once
+	fb   *accumulator.FixedBase
 }
 
 // batchCombMin is the batch size from which a lazy update batch builds a
@@ -109,7 +109,7 @@ func (b *updateBatch) comb(pp *accumulator.PublicParams) *accumulator.FixedBase 
 		if b.size < batchCombMin {
 			return
 		}
-		fb, err := pp.NewFixedBase(b.base, b.size*hprime.PrimeBits, b.teeth)
+		fb, err := pp.NewFixedBase(b.base, b.size*hprime.PrimeBits, 0)
 		if err == nil {
 			b.fb = fb
 		}
@@ -133,7 +133,6 @@ func NewCloud(st *CloudState, mode WitnessMode) (*Cloud, error) {
 		primeSet: make(map[string]int),
 		ac:       new(big.Int).Set(st.Ac),
 		mode:     mode,
-		workers:  st.Params.SearchWorkers,
 	}
 	if st.Index != nil {
 		if err := c.index.Merge(st.Index); err != nil {
@@ -163,13 +162,6 @@ func (c *Cloud) SetSearchWorkers(n int) error {
 	return nil
 }
 
-// SearchWorkers reports the configured fan-out (0 = one per core).
-func (c *Cloud) SearchWorkers() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.workers
-}
-
 // SearchCalls reports how many Search requests the cloud has served — one
 // per round trip in a remote deployment. Tests and the evaluation harness
 // use it to assert round-trip counts.
@@ -188,13 +180,16 @@ func (c *Cloud) Ac() *big.Int {
 // takes the cloud's write lock, so in-flight searches drain first and later
 // ones observe the full delta.
 //
-// Cached-witness maintenance is lazy by default: the batch's prime product
+// A cached cloud maintains its witnesses lazily: the batch's prime product
 // is appended to a journal and each witness folds its pending exponents only
 // when next served, so the write-lock window costs O(|X⁺|) regardless of
-// cache size. Once the pending set passes Params.RebuildThreshold the cache
-// is rebuilt wholesale with RootFactor. Params.EagerWitnessRefresh restores
-// the eager strategy (every witness re-exponentiated inside the update);
-// served witnesses are byte-identical either way.
+// cache size. Once more than max(64, |X|/4) primes are pending the cache is
+// rebuilt wholesale with RootFactor. Either way a served witness is the one
+// value g^(Π_{j≠i} x_j) mod N, byte-identical to what an on-demand cloud
+// derives from its tree.
+//
+// A delta whose index labels collide with stored ones is rejected before
+// anything changes: index, primes and Ac stay as they were.
 func (c *Cloud) ApplyUpdate(out *UpdateOutput) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -203,15 +198,10 @@ func (c *Cloud) ApplyUpdate(out *UpdateOutput) error {
 	if err := c.index.Merge(out.Index); err != nil {
 		return fmt.Errorf("apply index delta: %w", err)
 	}
-	added := len(out.Primes)
-	total := len(c.primes) + added
-	switch {
-	case c.mode != WitnessCached || added == 0:
+	if c.mode != WitnessCached || len(out.Primes) == 0 {
 		c.addPrimes(out.Primes)
-	case c.params.EagerWitnessRefresh:
-		c.applyEager(out.Primes, total)
-	default:
-		c.applyLazy(out.Primes, total)
+	} else {
+		c.applyLazy(out.Primes)
 	}
 	c.ac = new(big.Int).Set(out.Ac)
 	if c.mode == WitnessOnDemand {
@@ -221,39 +211,13 @@ func (c *Cloud) ApplyUpdate(out *UpdateOutput) error {
 	return nil
 }
 
-// applyEager is the write-lock-time maintenance strategy: refresh every
-// cached witness now (one modexp each, exponent = Π x⁺), or rebuild with
-// RootFactor when the batch is large relative to log2(N).
-func (c *Cloud) applyEager(newPrimes []*big.Int, total int) {
-	if len(newPrimes) > log2ceil(total)+1 {
-		c.addPrimes(newPrimes)
-		c.rebuildWitnesses()
-		return
-	}
-	prod := accumulator.Product(newPrimes)
-	for _, e := range c.witnesses {
-		e.w = new(big.Int).Exp(e.w, prod, c.accPub.N)
-	}
-	// Witness for new prime x_i: old Ac raised to Π_{k≠i} x⁺_k. The exponent
-	// is the batch product divided exactly by x_i — one modexp per new prime
-	// instead of an O(|X⁺|²) pairwise loop.
-	start := len(c.primes)
-	c.addPrimes(newPrimes)
-	exp := new(big.Int)
-	for i := start; i < len(c.primes); i++ {
-		exp.Div(prod, c.primes[i])
-		w := new(big.Int).Exp(c.ac, exp, c.accPub.N)
-		c.witnesses[string(c.primes[i].Bytes())] = &witEntry{w: w}
-	}
-}
-
 // applyLazy journals the batch instead of touching existing witnesses: each
 // entry's pending exponents fold in when it is next served (materialize).
 // New primes defer even their initial witness — the batch records the
 // pre-update accumulation value they all start from, plus a shared comb
 // table over it for large batches.
-func (c *Cloud) applyLazy(newPrimes []*big.Int, total int) {
-	if c.pendingPrimes+len(newPrimes) > c.rebuildThreshold(total) {
+func (c *Cloud) applyLazy(newPrimes []*big.Int) {
+	if c.pendingPrimes+len(newPrimes) > rebuildThreshold(len(c.primes)+len(newPrimes)) {
 		c.addPrimes(newPrimes)
 		c.rebuildWitnesses()
 		return
@@ -261,7 +225,7 @@ func (c *Cloud) applyLazy(newPrimes []*big.Int, total int) {
 	prod := accumulator.Product(newPrimes)
 	c.journal = append(c.journal, prod)
 	c.pendingPrimes += len(newPrimes)
-	batch := &updateBatch{base: new(big.Int).Set(c.ac), size: len(newPrimes), teeth: c.params.FixedBaseTeeth}
+	batch := &updateBatch{base: new(big.Int).Set(c.ac), size: len(newPrimes)}
 	start := len(c.primes)
 	c.addPrimes(newPrimes)
 	for i := start; i < len(c.primes); i++ {
@@ -273,11 +237,9 @@ func (c *Cloud) applyLazy(newPrimes []*big.Int, total int) {
 	}
 }
 
-// rebuildThreshold is the pending-prime budget before a lazy cloud rebuilds.
-func (c *Cloud) rebuildThreshold(total int) int {
-	if t := c.params.RebuildThreshold; t > 0 {
-		return t
-	}
+// rebuildThreshold is the pending-prime budget of a cached cloud holding
+// total primes: past it, ApplyUpdate rebuilds instead of journaling.
+func rebuildThreshold(total int) int {
 	if t := total / 4; t > 64 {
 		return t
 	}
@@ -301,7 +263,7 @@ func (c *Cloud) materialize(e *witEntry) *big.Int {
 	}
 	if e.epoch < len(c.journal) {
 		// Fold all pending batches in one modexp; exponentiation composes,
-		// so this equals folding them one update at a time (eager mode).
+		// so this equals folding them one update at a time.
 		pending := accumulator.Product(c.journal[e.epoch:])
 		e.w = new(big.Int).Exp(e.w, pending, c.accPub.N)
 		e.epoch = len(c.journal)
@@ -318,19 +280,11 @@ func (c *Cloud) resetTree() {
 	if c.wtree != nil && len(c.primes) >= treeCombMin &&
 		(c.fbG == nil || c.fbG.CapBits() < needBits) {
 		// Size for 2x the current set so trickle inserts don't rebuild it.
-		if fb, err := c.accPub.NewFixedBase(c.accPub.G, 2*needBits, c.params.FixedBaseTeeth); err == nil {
+		if fb, err := c.accPub.NewFixedBase(c.accPub.G, 2*needBits, 0); err == nil {
 			c.fbG = fb
 		}
 	}
 	c.wtree = c.accPub.NewWitnessTree(c.primes, c.fbG)
-}
-
-func log2ceil(n int) int {
-	bits := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		bits++
-	}
-	return bits
 }
 
 func (c *Cloud) addPrimes(primes []*big.Int) {
@@ -572,20 +526,9 @@ func (c *Cloud) witnessForPrime(x *big.Int) ([]byte, error) {
 		}
 		w = c.materialize(e)
 	case WitnessOnDemand:
-		if c.wtree != nil && c.wtree.Len() == len(c.primes) {
-			w = c.wtree.Witness(idx)
-			break
-		}
-		var err error
-		w, err = c.accPub.MemWit(c.primes, x)
-		if errors.Is(err, accumulator.ErrNotMember) {
-			// Unreachable after the primeSet check above, but keep the typed
-			// branch so a future caller without that check degrades cleanly.
-			return nil, ErrUnknownToken
-		}
-		if err != nil {
-			return nil, err
-		}
+		// NewCloud, UnmarshalCloud and ApplyUpdate all call resetTree after
+		// changing c.primes, so the tree always covers the current set.
+		w = c.wtree.Witness(idx)
 	}
 	return c.accPub.EncodeValue(w), nil
 }

@@ -50,8 +50,8 @@ func (c *Cloud) Marshal() ([]byte, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: witness cache missing entry %d", i)
 			}
-			// Fold any lazily-pending update batches first, so the persisted
-			// format stays the same whether maintenance is eager or lazy.
+			// Fold any pending update batches first: the file holds current
+			// witnesses only, never the journal.
 			st.Witnesses[i] = c.materialize(e).Bytes()
 		}
 	}
@@ -93,7 +93,6 @@ func UnmarshalCloud(data []byte) (*Cloud, error) {
 		primeSet: make(map[string]int, len(st.Primes)),
 		ac:       new(big.Int).SetBytes(st.Ac),
 		mode:     mode,
-		workers:  st.Params.SearchWorkers,
 	}
 	primes := make([]*big.Int, len(st.Primes))
 	for i, p := range st.Primes {

@@ -218,10 +218,10 @@ func TestConcurrentSearchDuringUpdates(t *testing.T) {
 	d.search(t, orderQuery(8))
 }
 
-// TestApplyUpdateWitnessMaintenance pins both cached-witness maintenance
-// strategies after the batched-exponent refresh: a trickle insert (|X⁺|
-// below the rebuild threshold) refreshes incrementally, a bulk insert
-// rebuilds — and both keep every epoch's proofs verifying.
+// TestApplyUpdateWitnessMaintenance pins both ways a cached cloud keeps its
+// witnesses current: a trickle insert (pending primes within the rebuild
+// threshold) is journaled, a bulk insert past it rebuilds with RootFactor —
+// and both keep every epoch's proofs verifying.
 func TestApplyUpdateWitnessMaintenance(t *testing.T) {
 	db := make([]Record, 0, 20)
 	for i := uint64(0); i < 20; i++ {
@@ -243,44 +243,41 @@ func TestApplyUpdateWitnessMaintenance(t *testing.T) {
 		}
 		d.user.UpdateStates(d.owner.StatesSnapshot())
 	}
-	insert(1, 500) // incremental refresh path
+	pending := func() int {
+		d.cloud.mu.RLock()
+		defer d.cloud.mu.RUnlock()
+		return d.cloud.pendingPrimes
+	}
+	insert(1, 500) // lazy journal path
+	if pending() == 0 {
+		t.Fatal("trickle insert was not journaled")
+	}
 	d.search(t, orderQuery(8))
-	insert(40, 600) // |X⁺| >> log2(N): RootFactor rebuild path
+	insert(40, 600) // more than 64 new primes: RootFactor rebuild path
+	if n := pending(); n != 0 {
+		t.Fatalf("bulk insert left %d pending primes, want a rebuild", n)
+	}
 	d.search(t, orderQuery(8))
 	d.search(t, Equal(db[0].Attrs[0].Value))
 }
 
-// TestSetSearchWorkersValidation covers the knob's bounds and the Params
-// plumbing.
+// TestSetSearchWorkersValidation covers the knob's bounds: a negative count
+// is refused and leaves the configured fan-out as it was.
 func TestSetSearchWorkersValidation(t *testing.T) {
-	db := []Record{NewRecord(1, 1)}
-	params := testParams(8)
-	params.SearchWorkers = 2
-	owner, err := NewOwner(params)
-	if err != nil {
-		t.Fatal(err)
+	d := deploy(t, 8, []Record{NewRecord(1, 1)}, WitnessCached)
+	if err := d.cloud.SetSearchWorkers(2); err != nil {
+		t.Fatalf("SetSearchWorkers(2): %v", err)
 	}
-	out, err := owner.Build(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cloud, err := NewCloud(owner.CloudInit(out.Index), WitnessCached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cloud.SearchWorkers(); got != 2 {
-		t.Fatalf("SearchWorkers = %d, want 2 (from Params)", got)
-	}
-	if err := cloud.SetSearchWorkers(-1); err == nil {
+	if err := d.cloud.SetSearchWorkers(-1); err == nil {
 		t.Fatal("negative worker count accepted")
 	}
-	if err := cloud.SetSearchWorkers(0); err != nil {
+	if d.cloud.workers != 2 {
+		t.Fatalf("workers = %d after a refused update, want 2", d.cloud.workers)
+	}
+	if err := d.cloud.SetSearchWorkers(0); err != nil {
 		t.Fatalf("SetSearchWorkers(0): %v", err)
 	}
-	params.SearchWorkers = -1
-	if _, err := NewOwner(params); err == nil {
-		t.Fatal("negative Params.SearchWorkers accepted")
-	}
+	d.search(t, Equal(1))
 }
 
 // TestForEachIndexedFirstError pins the helper's deterministic error

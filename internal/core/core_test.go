@@ -276,6 +276,55 @@ func TestDuplicateIDRejected(t *testing.T) {
 	}
 }
 
+// TestApplyUpdateCollisionLeavesCloudUnchanged replays lost owner state: an
+// owner restored from before an applied insert re-derives that insert's
+// labels for the keywords it touched. Its delta — one record sharing the
+// applied insert's keywords beside 24 fresh values — must be rejected whole:
+// index length, prime count and Ac stay as they were.
+func TestApplyUpdateCollisionLeavesCloudUnchanged(t *testing.T) {
+	d := deploy(t, 8, []Record{NewRecord(1, 10), NewRecord(2, 200)}, WitnessCached)
+	saved, err := d.owner.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd, err := d.owner.Insert([]Record{NewRecord(3, 77)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.cloud.ApplyUpdate(upd); err != nil {
+		t.Fatal(err)
+	}
+	wantLen, wantPrimes, wantAc := d.cloud.IndexLen(), d.cloud.PrimeCount(), d.cloud.Ac()
+	for trial := 0; trial < 3; trial++ {
+		stale, err := UnmarshalOwner(saved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := []Record{NewRecord(100, 77)} // the applied insert's keywords
+		for i := uint64(0); i < 24; i++ {
+			batch = append(batch, NewRecord(101+i, 120+3*i))
+		}
+		delta, err := stale.Insert(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.cloud.ApplyUpdate(delta); err == nil {
+			t.Fatalf("trial %d: colliding delta applied", trial)
+		}
+		if got := d.cloud.IndexLen(); got != wantLen {
+			t.Fatalf("trial %d: index length %d after a rejected delta, want %d", trial, got, wantLen)
+		}
+		if got := d.cloud.PrimeCount(); got != wantPrimes {
+			t.Fatalf("trial %d: prime count %d after a rejected delta, want %d", trial, got, wantPrimes)
+		}
+		if d.cloud.Ac().Cmp(wantAc) != 0 {
+			t.Fatalf("trial %d: Ac changed by a rejected delta", trial)
+		}
+	}
+	d.user.UpdateStates(d.owner.StatesSnapshot())
+	d.search(t, Equal(77))
+}
+
 func TestTwinDeleteAndUpdate(t *testing.T) {
 	db := []Record{NewRecord(1, 5), NewRecord(2, 8), NewRecord(3, 5), NewRecord(4, 100)}
 	owner, err := NewTwinOwner(testParams(8))

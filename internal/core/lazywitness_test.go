@@ -19,28 +19,69 @@ func lazyDB(n, bits int, seed int64) []Record {
 	return db
 }
 
-// lazyEagerPair builds two cached-mode clouds over the same owner state,
-// one with lazy maintenance (the default) and one eager.
-func lazyEagerPair(t testing.TB, owner *Owner, out *UpdateOutput) (lazy, eager *Cloud) {
+// lazyOnDemandPair builds two clouds over the same owner state: a cached one
+// (lazy journal plus rebuild) and an on-demand one, whose witnesses come
+// from a RootFactor tree over the current primes and never touch the
+// journal — an independent reference.
+func lazyOnDemandPair(t testing.TB, owner *Owner, out *UpdateOutput) (lazy, ref *Cloud) {
 	t.Helper()
-	stLazy := owner.CloudInit(out.Index)
-	lazy, err := NewCloud(stLazy, WitnessCached)
+	lazy, err := NewCloud(owner.CloudInit(out.Index), WitnessCached)
 	if err != nil {
-		t.Fatalf("NewCloud(lazy): %v", err)
+		t.Fatalf("NewCloud(cached): %v", err)
 	}
-	stEager := owner.CloudInit(out.Index)
-	stEager.Params.EagerWitnessRefresh = true
-	eager, err = NewCloud(stEager, WitnessCached)
+	ref, err = NewCloud(owner.CloudInit(out.Index), WitnessOnDemand)
 	if err != nil {
-		t.Fatalf("NewCloud(eager): %v", err)
+		t.Fatalf("NewCloud(on-demand): %v", err)
 	}
-	return lazy, eager
+	return lazy, ref
 }
 
-// TestLazyRefreshMatchesEager interleaves inserts and searches and requires
-// the lazy cloud's responses and persisted state to be byte-identical to
-// the eager cloud's at every step.
-func TestLazyRefreshMatchesEager(t *testing.T) {
+// checkPersistedAgainstReference requires the cached cloud's snapshot to
+// hold the reference's primes and Ac, and exactly RootFactor's witness for
+// every prime: the journal is folded before anything is written.
+func checkPersistedAgainstReference(t testing.TB, owner *Owner, lazy, ref *Cloud) {
+	t.Helper()
+	var sL, sR map[string]json.RawMessage
+	for _, x := range []struct {
+		c  *Cloud
+		st *map[string]json.RawMessage
+	}{{lazy, &sL}, {ref, &sR}} {
+		raw, err := x.c.Marshal()
+		if err != nil {
+			t.Fatalf("Marshal: %v", err)
+		}
+		if err := json.Unmarshal(raw, x.st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Index bytes are excluded: store.Index marshals in map order, which
+	// differs between instances even for identical contents.
+	for _, k := range []string{"primes", "ac"} {
+		if !bytes.Equal(sL[k], sR[k]) {
+			t.Fatalf("marshaled %q differs between cached and on-demand", k)
+		}
+	}
+	lazy.mu.RLock()
+	primes := lazy.primes
+	lazy.mu.RUnlock()
+	var want [][]byte
+	for _, w := range owner.AccumulatorPub().RootFactor(primes) {
+		want = append(want, w.Bytes())
+	}
+	rawWant, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sL["witnesses"], rawWant) {
+		t.Fatal("persisted witnesses differ from RootFactor over the persisted primes")
+	}
+}
+
+// TestLazyRefreshMatchesOnDemand interleaves inserts and searches, crossing
+// both journaled and rebuilding updates, and requires the cached cloud's
+// responses to be byte-identical to the on-demand reference's at every step
+// and its persisted witnesses to be RootFactor's.
+func TestLazyRefreshMatchesOnDemand(t *testing.T) {
 	const bits = 8
 	db := lazyDB(40, bits, 71)
 	owner, err := NewOwner(testParams(bits))
@@ -51,7 +92,7 @@ func TestLazyRefreshMatchesEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, eager := lazyEagerPair(t, owner, out)
+	lazy, ref := lazyOnDemandPair(t, owner, out)
 	user, err := NewUser(owner.ClientState())
 	if err != nil {
 		t.Fatal(err)
@@ -71,9 +112,11 @@ func TestLazyRefreshMatchesEager(t *testing.T) {
 		if err := lazy.ApplyUpdate(upd); err != nil {
 			t.Fatalf("step %d: lazy ApplyUpdate: %v", step, err)
 		}
-		if err := eager.ApplyUpdate(upd); err != nil {
-			t.Fatalf("step %d: eager ApplyUpdate: %v", step, err)
+		if err := ref.ApplyUpdate(upd); err != nil {
+			t.Fatalf("step %d: on-demand ApplyUpdate: %v", step, err)
 		}
+		// Before any search: Marshal itself must fold the journal.
+		checkPersistedAgainstReference(t, owner, lazy, ref)
 
 		for _, q := range []Query{Equal(uint64(step * 13 % (1 << bits))), Greater(1 << (bits - 1)), Less(20)} {
 			req, err := user.Token(q)
@@ -84,100 +127,67 @@ func TestLazyRefreshMatchesEager(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d: lazy Search: %v", step, err)
 			}
-			respE, err := eager.Search(req)
+			respR, err := ref.Search(req)
 			if err != nil {
-				t.Fatalf("step %d: eager Search: %v", step, err)
+				t.Fatalf("step %d: on-demand Search: %v", step, err)
 			}
 			rawL, _ := json.Marshal(respL)
-			rawE, _ := json.Marshal(respE)
-			if !bytes.Equal(rawL, rawE) {
-				t.Fatalf("step %d query %v: lazy response differs from eager", step, q)
+			rawR, _ := json.Marshal(respR)
+			if !bytes.Equal(rawL, rawR) {
+				t.Fatalf("step %d query %v: cached response differs from on-demand", step, q)
 			}
 			if err := VerifyResponse(owner.AccumulatorPub(), owner.Ac(), req, respL); err != nil {
 				t.Fatalf("step %d: lazy response fails verification: %v", step, err)
 			}
 		}
 	}
-
-	// Persisted state must fold all pending batches and match exactly
-	// (modulo the params field that names the strategy).
-	mL, err := lazy.Marshal()
-	if err != nil {
-		t.Fatalf("lazy Marshal: %v", err)
-	}
-	mE, err := eager.Marshal()
-	if err != nil {
-		t.Fatalf("eager Marshal: %v", err)
-	}
-	var sL, sE map[string]json.RawMessage
-	if err := json.Unmarshal(mL, &sL); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(mE, &sE); err != nil {
-		t.Fatal(err)
-	}
-	// Index bytes are excluded: store.Index marshals in map order, which
-	// differs between instances even for identical contents.
-	for _, k := range []string{"witnesses", "primes", "ac"} {
-		if !bytes.Equal(sL[k], sE[k]) {
-			t.Fatalf("marshaled %q differs between lazy and eager", k)
-		}
-	}
 }
 
-// TestLazyRebuildThreshold forces the journal over its budget and checks the
-// cloud degrades to a clean rebuild (journal drained, searches verify).
+// TestLazyRebuildThreshold journals small inserts until the pending primes
+// would pass max(64, |X|/4), and requires that exact update to rebuild: the
+// journal is drained and searches still verify.
 func TestLazyRebuildThreshold(t *testing.T) {
 	const bits = 8
 	db := lazyDB(30, bits, 5)
-	params := testParams(bits)
-	params.RebuildThreshold = 8
-	owner, err := NewOwner(params)
-	if err != nil {
-		t.Fatal(err)
+	d := deploy(t, bits, db, WitnessCached)
+	journal := func() (pending, epochs, primes int) {
+		d.cloud.mu.RLock()
+		defer d.cloud.mu.RUnlock()
+		return d.cloud.pendingPrimes, len(d.cloud.journal), len(d.cloud.primes)
 	}
-	out, err := owner.Build(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cloud, err := NewCloud(owner.CloudInit(out.Index), WitnessCached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	user, err := NewUser(owner.ClientState())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 4; step++ {
-		batch := make([]Record, 6)
+	rebuilt := false
+	for step := 0; step < 40 && !rebuilt; step++ {
+		batch := make([]Record, 3)
 		for i := range batch {
 			batch[i] = NewRecord(uint64(2000+step*10+i), uint64(step*31+i*7)%(1<<bits))
 		}
-		upd, err := owner.Insert(batch)
+		upd, err := d.owner.Insert(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cloud.ApplyUpdate(upd); err != nil {
+		before, epochs, total := journal()
+		total += len(upd.Primes)
+		if err := d.cloud.ApplyUpdate(upd); err != nil {
 			t.Fatal(err)
 		}
+		pending, gotEpochs, _ := journal()
+		if before+len(upd.Primes) > rebuildThreshold(total) {
+			if pending != 0 || gotEpochs != 0 {
+				t.Fatalf("step %d: %d+%d primes past the threshold left %d pending in %d epochs, want a rebuild",
+					step, before, len(upd.Primes), pending, gotEpochs)
+			}
+			rebuilt = true
+		} else if pending != before+len(upd.Primes) || gotEpochs != epochs+1 {
+			t.Fatalf("step %d: journal holds %d primes in %d epochs, want %d in %d",
+				step, pending, gotEpochs, before+len(upd.Primes), epochs+1)
+		}
 	}
-	cloud.mu.RLock()
-	pending := cloud.pendingPrimes
-	cloud.mu.RUnlock()
-	if pending > params.RebuildThreshold {
-		t.Fatalf("journal holds %d pending primes past threshold %d", pending, params.RebuildThreshold)
+	if !rebuilt {
+		t.Fatal("40 inserts never crossed the rebuild threshold")
 	}
-	req, err := user.Token(Greater(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := cloud.Search(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyResponse(owner.AccumulatorPub(), owner.Ac(), req, resp); err != nil {
-		t.Fatal(err)
-	}
+	d.user.UpdateStates(d.owner.StatesSnapshot())
+	d.search(t, Greater(0))
+	d.search(t, Less(200))
 }
 
 // TestLazyConcurrentServes folds pending witnesses from many goroutines at
@@ -244,10 +254,10 @@ func TestLazyConcurrentServes(t *testing.T) {
 	}
 }
 
-// FuzzWitnessRefreshLazyVsEager drives a randomized insert/search schedule
-// through a lazy and an eager cloud and requires byte-identical served
-// witnesses and persisted caches.
-func FuzzWitnessRefreshLazyVsEager(f *testing.F) {
+// FuzzWitnessRefreshLazyVsOnDemand drives a randomized insert/search
+// schedule through a cached and an on-demand cloud and requires
+// byte-identical responses, and persisted witnesses equal to RootFactor's.
+func FuzzWitnessRefreshLazyVsOnDemand(f *testing.F) {
 	f.Add([]byte{3, 1, 9, 250, 0}, uint8(2))
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7}, uint8(9))
@@ -265,7 +275,7 @@ func FuzzWitnessRefreshLazyVsEager(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lazy, eager := lazyEagerPair(t, owner, out)
+		lazy, ref := lazyOnDemandPair(t, owner, out)
 		user, err := NewUser(owner.ClientState())
 		if err != nil {
 			t.Fatal(err)
@@ -286,7 +296,7 @@ func FuzzWitnessRefreshLazyVsEager(f *testing.F) {
 				if err := lazy.ApplyUpdate(upd); err != nil {
 					t.Fatal(err)
 				}
-				if err := eager.ApplyUpdate(upd); err != nil {
+				if err := ref.ApplyUpdate(upd); err != nil {
 					t.Fatal(err)
 				}
 				continue
@@ -299,33 +309,16 @@ func FuzzWitnessRefreshLazyVsEager(f *testing.F) {
 			if err != nil {
 				t.Fatalf("step %d: lazy: %v", step, err)
 			}
-			respE, err := eager.Search(req)
+			respR, err := ref.Search(req)
 			if err != nil {
-				t.Fatalf("step %d: eager: %v", step, err)
+				t.Fatalf("step %d: on-demand: %v", step, err)
 			}
 			rawL, _ := json.Marshal(respL)
-			rawE, _ := json.Marshal(respE)
-			if !bytes.Equal(rawL, rawE) {
-				t.Fatalf("step %d: lazy and eager responses differ", step)
+			rawR, _ := json.Marshal(respR)
+			if !bytes.Equal(rawL, rawR) {
+				t.Fatalf("step %d: cached and on-demand responses differ", step)
 			}
 		}
-		mL, err := lazy.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		mE, err := eager.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sL, sE map[string]json.RawMessage
-		if err := json.Unmarshal(mL, &sL); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(mE, &sE); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sL["witnesses"], sE["witnesses"]) {
-			t.Fatal("persisted witness caches differ between lazy and eager")
-		}
+		checkPersistedAgainstReference(t, owner, lazy, ref)
 	})
 }

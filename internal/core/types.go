@@ -18,7 +18,7 @@
 // ApplyUpdate takes the write lock, so any number of users can query one
 // cloud while the owner ships insert deltas. Within one request the cloud
 // additionally fans per-token work across a bounded worker pool
-// (Params.SearchWorkers; 0 = one worker per core, 1 = the serial pipeline),
+// (Cloud.SetSearchWorkers; 0 = one worker per core, 1 = the serial pipeline),
 // and VerifyResponse parallelizes Algorithm 5 the same way. Owner and User
 // remain single-writer types: callers that share them across goroutines
 // must serialize mutations (concurrent read-only use — Token generation,
@@ -120,31 +120,6 @@ type Params struct {
 	// no client-side intersection, at the cost of b extra index entries per
 	// record per attribute. Extension beyond the paper; see DESIGN.md.
 	PrefixIndex bool
-	// SearchWorkers bounds the per-request token fan-out of the parallel
-	// search/verify pipeline (Cloud.Search, Cloud.SearchResults,
-	// Cloud.AttachWitnesses and VerifyResponse all process the request's
-	// tokens independently). 0 runs one worker per available core
-	// (GOMAXPROCS); 1 reproduces the serial pipeline exactly. Output is
-	// byte-identical at every setting.
-	SearchWorkers int
-	// EagerWitnessRefresh switches the cached-witness maintenance strategy
-	// on ApplyUpdate back to the eager one: every cached witness is
-	// re-exponentiated while the update holds the write lock (O(|X|) modexps
-	// per update). The default (false) journals the update batch and folds
-	// pending exponents into a witness only when it is next served, so
-	// updates cost O(|X⁺|) and searches pay one extra modexp per pending
-	// batch. Served witnesses are byte-identical under both strategies.
-	EagerWitnessRefresh bool
-	// RebuildThreshold caps the lazy journal: once the pending prime count
-	// would exceed it, ApplyUpdate discards the journal and rebuilds every
-	// witness with RootFactor instead. 0 picks max(64, |X|/4).
-	RebuildThreshold int
-	// FixedBaseTeeth overrides the comb width of the fixed-base
-	// exponentiation tables the cloud builds for bulk update batches and the
-	// on-demand witness tree (accumulator.FixedBase). 0 auto-sizes from the
-	// exponent capacity. Larger teeth trade table build time and memory for
-	// cheaper evaluations.
-	FixedBaseTeeth int
 }
 
 // DefaultParams returns the benchmark parameterization used throughout the
@@ -166,15 +141,6 @@ func (p Params) validate() error {
 	}
 	if p.AccumulatorBits < 64 {
 		return fmt.Errorf("core: accumulator modulus %d too small", p.AccumulatorBits)
-	}
-	if p.SearchWorkers < 0 {
-		return fmt.Errorf("core: search workers must be >= 0, got %d", p.SearchWorkers)
-	}
-	if p.RebuildThreshold < 0 {
-		return fmt.Errorf("core: rebuild threshold must be >= 0, got %d", p.RebuildThreshold)
-	}
-	if p.FixedBaseTeeth < 0 || p.FixedBaseTeeth > 20 {
-		return fmt.Errorf("core: fixed-base teeth must be in [0,20], got %d", p.FixedBaseTeeth)
 	}
 	return nil
 }

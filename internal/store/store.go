@@ -85,12 +85,16 @@ func (ix *Index) Len() int { return len(ix.m) }
 func (ix *Index) SizeBytes() int { return len(ix.m) * 2 * EntrySize }
 
 // Merge copies every entry of other into ix (applying an index delta shipped
-// by the owner after Insert).
+// by the owner after Insert). It is all or nothing: if any label of other is
+// already stored, Merge returns the error and ix is unchanged.
 func (ix *Index) Merge(other *Index) error {
-	for l, d := range other.m {
-		if err := ix.Put(l, d); err != nil {
-			return err
+	for l := range other.m {
+		if _, exists := ix.m[l]; exists {
+			return fmt.Errorf("store: duplicate index label %x", l[:4])
 		}
+	}
+	for l, d := range other.m {
+		ix.m[l] = d
 	}
 	return nil
 }

@@ -75,6 +75,36 @@ func TestIndexMerge(t *testing.T) {
 	}
 }
 
+// TestIndexMergeAllOrNothing merges a delta of one stored label beside many
+// fresh ones: the merge must fail without adding any of the fresh entries,
+// whatever order the delta's map iterates in.
+func TestIndexMergeAllOrNothing(t *testing.T) {
+	ix := NewIndex()
+	if err := ix.Put(label(0), payload(0)); err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 5; trial++ {
+		delta := NewIndex()
+		if err := delta.Put(label(0), payload(1)); err != nil {
+			t.Fatal(err)
+		}
+		for i := byte(1); i <= 32; i++ {
+			if err := delta.Put(label(i), payload(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ix.Merge(delta); err == nil {
+			t.Fatalf("trial %d: merge over a stored label accepted", trial)
+		}
+		if ix.Len() != 1 {
+			t.Fatalf("trial %d: failed merge left %d entries, want 1", trial, ix.Len())
+		}
+		if got, _ := ix.Get(label(0)); got != payload(0) {
+			t.Fatalf("trial %d: failed merge overwrote the stored payload", trial)
+		}
+	}
+}
+
 func TestIndexMarshalRoundTrip(t *testing.T) {
 	ix := NewIndex()
 	for i := byte(0); i < 50; i++ {

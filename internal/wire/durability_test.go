@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -92,6 +94,109 @@ func TestCloudServerDurableRestart(t *testing.T) {
 	if err := cli2.Init(owner.CloudInit(built.Index), true); err == nil {
 		t.Error("re-init of recovered cloud succeeded")
 	}
+}
+
+// TestLegacyCloudInitBootsAndReplays sends a cloud.init whose params still
+// carry the serving knobs core.Params once had (SearchWorkers,
+// EagerWitnessRefresh, RebuildThreshold, FixedBaseTeeth), non-zero, as a WAL
+// record written before they were removed would. The server must boot from
+// it, replay it after a restart, and serve responses byte-identical to a
+// cloud initialized with the current message.
+func TestLegacyCloudInitBootsAndReplays(t *testing.T) {
+	params := core.Params{Bits: 8, TrapdoorBits: 256, AccumulatorBits: 256}
+	owner, err := core.NewOwner(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := owner.Build(workload.Generate(workload.Config{N: 40, Bits: 8, Seed: 17}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg map[string]any
+	raw, err := json.Marshal(EncodeCloudInit(owner.CloudInit(built.Index), true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &msg); err != nil {
+		t.Fatal(err)
+	}
+	legacy := msg["params"].(map[string]any)
+	legacy["SearchWorkers"] = 3
+	legacy["EagerWitnessRefresh"] = true
+	legacy["RebuildThreshold"] = 8
+	legacy["FixedBaseTeeth"] = 6
+	legacyInit, err := json.Marshal(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ref := NewCloudServer()
+	addr, err := ref.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	refCli, err := DialCloud(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer refCli.Close()
+	if err := refCli.Init(owner.CloudInit(built.Index), true); err != nil {
+		t.Fatal(err)
+	}
+	fsys := durable.NewMemFS()
+	srv1, cli1, _ := durableCloud(t, fsys, "cloud", DurabilityOptions{Fsync: durable.FsyncNever})
+	if err := cli1.c.Call(MethodCloudInit, json.RawMessage(legacyInit), nil); err != nil {
+		t.Fatalf("legacy init: %v", err)
+	}
+	batch := workload.Generate(workload.Config{N: 6, Bits: 8, Seed: 18, FirstID: 5000})
+	up, err := owner.Insert(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*CloudClient{refCli, cli1} {
+		if err := c.Update(up); err != nil {
+			t.Fatal(err)
+		}
+	}
+	user, err := core.NewUser(owner.ClientState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(when string, cli *CloudClient) {
+		t.Helper()
+		for _, q := range []core.Query{core.Less(100), core.Greater(30), core.Equal(batch[0].Attrs[0].Value)} {
+			req, err := user.Token(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refCli.Search(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cli.Search(req)
+			if err != nil {
+				t.Fatalf("%s: search %v: %v", when, q, err)
+			}
+			rawWant, _ := json.Marshal(want)
+			rawGot, _ := json.Marshal(got)
+			if !bytes.Equal(rawGot, rawWant) {
+				t.Fatalf("%s: query %v: legacy-init cloud answers differently", when, q)
+			}
+		}
+	}
+	same("live", cli1)
+	cli1.Close()
+	if err := srv1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv2, cli2, stats := durableCloud(t, fsys, "cloud", DurabilityOptions{})
+	defer srv2.Close()
+	defer cli2.Close()
+	if stats.Replayed != 2 || stats.Skipped != 0 { // legacy init + update
+		t.Fatalf("recovery stats %+v, want 2 replayed", stats)
+	}
+	same("replayed", cli2)
 }
 
 func TestCloudServerSnapshotTriggerCompactsWAL(t *testing.T) {

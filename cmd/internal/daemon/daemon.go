@@ -50,13 +50,11 @@ type Daemon struct {
 	FsyncInterval   time.Duration
 	SLO             *obs.Engine
 
-	name, fsync, admin, logLevel, logFormat      string
-	idle, profileCPU                             time.Duration
-	traceCap                                     int
-	auditDir, slo                                string
-	snapEvery, traceSample, profileMax, labelCap int
-	aliases                                      map[string]string
-	objectives                                   []obs.Objective
+	name, fsync, admin, logLevel, logFormat string
+	idle                                    time.Duration
+	auditDir, slo                           string
+	aliases                                 map[string]string
+	objectives                              []obs.Objective
 
 	stop    chan os.Signal
 	node    Node
@@ -66,8 +64,8 @@ type Daemon struct {
 }
 
 // New registers the flags every server takes: -listen (default listen),
-// -data-dir (help dataDirHelp), -fsync, -admin, -log-level, -log-format,
-// -idle-timeout and -trace-capacity. name prefixes the daemon's messages.
+// -data-dir (help dataDirHelp), -fsync, -admin, -log-level, -log-format and
+// -idle-timeout. name prefixes the daemon's messages.
 func New(name, listen, dataDirHelp string) *Daemon {
 	d := &Daemon{name: name}
 	flag.StringVar(&d.Listen, "listen", listen, "address to listen on")
@@ -77,24 +75,17 @@ func New(name, listen, dataDirHelp string) *Daemon {
 	flag.StringVar(&d.logLevel, "log-level", "info", "log level: debug, info, warn, error")
 	flag.StringVar(&d.logFormat, "log-format", "text", "log format: text or json")
 	flag.DurationVar(&d.idle, "idle-timeout", wire.DefaultIdleTimeout, "drop connections idle longer than this; 0 disables")
-	flag.IntVar(&d.traceCap, "trace-capacity", obs.DefaultTraceCapacity, "how many recent propagated traces to retain for /debug/traces")
 	return d
 }
 
 // Journaled registers the flags of a server that journals and audits:
-// -audit-dir, -snapshot-every (help snapshotHelp), -trace-sample, -slo (help
-// sloHelp), -profile-captures, -profile-cpu and -label-cap. Objectives may
-// name the metrics behind aliases and the audit ledger's aliases.
-func (d *Daemon) Journaled(snapshotHelp, sloHelp string, aliases map[string]string) {
+// -audit-dir and -slo (help sloHelp). Objectives may name the metrics behind
+// aliases and the audit ledger's aliases.
+func (d *Daemon) Journaled(sloHelp string, aliases map[string]string) {
 	d.aliases = aliases
 	maps.Copy(d.aliases, audit.SLOAliases())
 	flag.StringVar(&d.auditDir, "audit-dir", "", `tamper-evident audit ledger directory (default <data-dir>/audit when -data-dir is set; "none" disables)`)
-	flag.IntVar(&d.snapEvery, "snapshot-every", 0, snapshotHelp)
-	flag.IntVar(&d.traceSample, "trace-sample", 1, "retain 1 of every N propagated traces (slow outliers always kept)")
 	flag.StringVar(&d.slo, "slo", "", sloHelp)
-	flag.IntVar(&d.profileMax, "profile-captures", obs.DefProfileMaxCaptures, "max retained profile bundles under <data-dir>/profiles; oldest evicted first")
-	flag.DurationVar(&d.profileCPU, "profile-cpu", obs.DefProfileCPUDuration, "CPU-profile window per capture")
-	flag.IntVar(&d.labelCap, "label-cap", wire.DefaultTenantLabelCap, "max distinct tenant label values before new tenants collapse into \"other\"")
 }
 
 // Parse parses the command line and checks every value, the shared ones here
@@ -145,9 +136,7 @@ func (d *Daemon) Start(n Node) error {
 // when StartJournaled fails.
 func (d *Daemon) StartJournaled(s Server) (*wire.RecoveryStats, error) {
 	d.node = s
-	s.Server().SetLabelCap(d.labelCap)
 	s.SetObservability(d.Registry, d.Logger)
-	s.Traces().SetSampling(d.traceSample)
 	var opts obs.AdminOptions
 
 	// The audit ledger opens before the SLO engine and admin endpoint so the
@@ -183,11 +172,9 @@ func (d *Daemon) StartJournaled(s Server) (*wire.RecoveryStats, error) {
 	}
 	if d.DataDir != "" {
 		prof, err := obs.NewProfiler(obs.ProfilerOptions{
-			Dir:         filepath.Join(d.DataDir, "profiles"),
-			MaxCaptures: d.profileMax,
-			CPUDuration: d.profileCPU,
-			Registry:    d.Registry,
-			Logger:      d.Logger,
+			Dir:      filepath.Join(d.DataDir, "profiles"),
+			Registry: d.Registry,
+			Logger:   d.Logger,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("profiler: %w", err)
@@ -210,7 +197,6 @@ func (d *Daemon) StartJournaled(s Server) (*wire.RecoveryStats, error) {
 		Dir:           d.DataDir,
 		Fsync:         d.Fsync,
 		FsyncInterval: d.FsyncInterval,
-		SnapshotEvery: d.snapEvery,
 		Registry:      d.Registry,
 		Logger:        d.Logger,
 	})
@@ -224,7 +210,6 @@ func (d *Daemon) StartJournaled(s Server) (*wire.RecoveryStats, error) {
 // endpoint on opts plus the registry, trace store and logger.
 func (d *Daemon) serve(opts obs.AdminOptions) error {
 	d.node.Server().SetIdleTimeout(d.idle)
-	d.node.Traces().SetCapacity(d.traceCap)
 	if d.admin == "" {
 		return nil
 	}

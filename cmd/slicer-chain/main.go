@@ -35,8 +35,7 @@ func main() {
 
 func run() error {
 	d := daemon.New("slicer-chain", "127.0.0.1:7402", "durable data directory: block WAL + snapshots, crash-safe recovery at boot")
-	d.Journaled("fold the chain into a snapshot every N sealed blocks (0: default 256, <0: off)",
-		`latency objectives, e.g. "name=submit,metric=rpc:submit,target=500ms,good=0.99,window=2m;..." or @objectives.conf`,
+	d.Journaled(`latency objectives, e.g. "name=submit,metric=rpc:submit,target=500ms,good=0.99,window=2m;..." or @objectives.conf`,
 		wire.SLOAliases("chain",
 			wire.MethodChainSubmit, wire.MethodChainStep, wire.MethodChainReceipt,
 			wire.MethodChainBalance, wire.MethodChainNonce, wire.MethodChainCall,

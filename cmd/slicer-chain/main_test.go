@@ -79,6 +79,13 @@ func TestBadFlagExits2BeforeTouchingDisk(t *testing.T) {
 		{[]string{"-fsync", "bogus"}, "bad fsync policy"},
 		{[]string{"-log-level", "loud", "-data-dir", "DIR"}, "unknown log level"},
 		{[]string{"-slo", "garbage", "-data-dir", "DIR"}, "-slo"},
+		// Settings that became constants are unknown flags.
+		{[]string{"-data-dir", "DIR", "-trace-capacity", "8"}, "flag provided but not defined: -trace-capacity"},
+		{[]string{"-data-dir", "DIR", "-trace-sample", "2"}, "flag provided but not defined: -trace-sample"},
+		{[]string{"-data-dir", "DIR", "-label-cap", "5"}, "flag provided but not defined: -label-cap"},
+		{[]string{"-data-dir", "DIR", "-profile-captures", "2"}, "flag provided but not defined: -profile-captures"},
+		{[]string{"-data-dir", "DIR", "-profile-cpu", "100ms"}, "flag provided but not defined: -profile-cpu"},
+		{[]string{"-data-dir", "DIR", "-snapshot-every", "2"}, "flag provided but not defined: -snapshot-every"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "data")

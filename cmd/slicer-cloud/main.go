@@ -31,8 +31,7 @@ func main() {
 
 func run() error {
 	d := daemon.New("slicer-cloud", "127.0.0.1:7401", "durable data directory: WAL + snapshots, crash-safe recovery at boot")
-	d.Journaled("fold state into a snapshot every N journaled records (0: default 256, <0: off)",
-		`latency objectives, e.g. "name=search,metric=rpc:search,target=250ms,good=0.99,window=2m;..." or @objectives.conf`,
+	d.Journaled(`latency objectives, e.g. "name=search,metric=rpc:search,target=250ms,good=0.99,window=2m;..." or @objectives.conf`,
 		wire.SLOAliases("cloud", wire.MethodCloudInit, wire.MethodCloudUpdate, wire.MethodCloudSearch, wire.MethodCloudStats))
 	d.Parse(nil)
 	defer d.Close()

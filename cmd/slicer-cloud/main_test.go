@@ -80,6 +80,13 @@ func TestBadFlagExits2BeforeTouchingDisk(t *testing.T) {
 		{[]string{"-log-level", "loud", "-data-dir", "DIR"}, "unknown log level"},
 		{[]string{"-log-format", "xml", "-data-dir", "DIR"}, "unknown log format"},
 		{[]string{"-slo", "garbage", "-data-dir", "DIR"}, "-slo"},
+		// Settings that became constants are unknown flags.
+		{[]string{"-data-dir", "DIR", "-trace-capacity", "8"}, "flag provided but not defined: -trace-capacity"},
+		{[]string{"-data-dir", "DIR", "-trace-sample", "2"}, "flag provided but not defined: -trace-sample"},
+		{[]string{"-data-dir", "DIR", "-label-cap", "5"}, "flag provided but not defined: -label-cap"},
+		{[]string{"-data-dir", "DIR", "-profile-captures", "2"}, "flag provided but not defined: -profile-captures"},
+		{[]string{"-data-dir", "DIR", "-profile-cpu", "100ms"}, "flag provided but not defined: -profile-cpu"},
+		{[]string{"-data-dir", "DIR", "-snapshot-every", "2"}, "flag provided but not defined: -snapshot-every"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "data")
@@ -186,8 +193,7 @@ func (s *server) fetch(t *testing.T, method, path, want string) {
 // SIGTERM and a reboot that recovers from the same directory.
 func TestBootServesOpsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
-	s := boot(t, "-data-dir", dir, "-slo", "name=search,metric=rpc:search,target=250ms,good=0.99",
-		"-profile-captures", "2", "-profile-cpu", "100ms")
+	s := boot(t, "-data-dir", dir, "-slo", "name=search,metric=rpc:search,target=250ms,good=0.99")
 	s.fetch(t, "GET", "/healthz", "ok")
 	s.fetch(t, "GET", "/metrics", "slicer_process_uptime_seconds")
 	s.fetch(t, "GET", "/metrics?format=json", "slicer_rpc_connections_open")

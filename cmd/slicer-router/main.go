@@ -58,10 +58,6 @@ func parseShards(spec string) ([]shard.ShardSpec, error) {
 func run() error {
 	d := daemon.New("slicer-router", "127.0.0.1:7400", "durable data directory: routing-table + trapdoor-key WAL, crash-safe recovery at boot")
 	shardsFlag := flag.String("shards", "", "shard fleet: comma-separated id=host:port (required)")
-	vnodes := flag.Int("vnodes", shard.DefaultVnodes, "consistent-hash points per shard for a fresh routing table")
-	ringEpochs := flag.Int("ring-epochs", 8, "past routing-table epochs retained in memory for inspection")
-	workers := flag.Int("workers", 0, "token-level search concurrency (0: one per core)")
-	batch := flag.Int("batch", shard.DefaultBatch, "first probe window of a walk; doubles each round")
 	dialTO := flag.Duration("dial-timeout", wire.DefaultDialTimeout, "timeout for connecting to a shard")
 	callTO := flag.Duration("call-timeout", wire.DefaultCallTimeout, "per-shard-RPC deadline; 0 or negative disables")
 	var specs []shard.ShardSpec
@@ -80,10 +76,6 @@ func run() error {
 		DataDir:       d.DataDir,
 		Fsync:         d.Fsync,
 		FsyncInterval: d.FsyncInterval,
-		Vnodes:        *vnodes,
-		RingEpochs:    *ringEpochs,
-		Workers:       *workers,
-		Batch:         *batch,
 		Registry:      d.Registry,
 		Logger:        d.Logger,
 		Client:        clientOpts,

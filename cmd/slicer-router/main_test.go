@@ -80,6 +80,12 @@ func TestBadFlagExits2BeforeTouchingDisk(t *testing.T) {
 		{[]string{"-shards", "s1", "-data-dir", "DIR"}, "bad shard"},
 		{[]string{"-shards", "s1=127.0.0.1:1", "-fsync", "bogus"}, "bad fsync policy"},
 		{[]string{"-shards", "s1=127.0.0.1:1", "-log-format", "xml", "-data-dir", "DIR"}, "unknown log format"},
+		// Settings that became constants are unknown flags.
+		{[]string{"-shards", "s1=127.0.0.1:1", "-data-dir", "DIR", "-trace-capacity", "8"}, "flag provided but not defined: -trace-capacity"},
+		{[]string{"-shards", "s1=127.0.0.1:1", "-data-dir", "DIR", "-vnodes", "4"}, "flag provided but not defined: -vnodes"},
+		{[]string{"-shards", "s1=127.0.0.1:1", "-data-dir", "DIR", "-ring-epochs", "2"}, "flag provided but not defined: -ring-epochs"},
+		{[]string{"-shards", "s1=127.0.0.1:1", "-data-dir", "DIR", "-workers", "2"}, "flag provided but not defined: -workers"},
+		{[]string{"-shards", "s1=127.0.0.1:1", "-data-dir", "DIR", "-batch", "4"}, "flag provided but not defined: -batch"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "data")

@@ -26,9 +26,9 @@ func SLOAliases() map[string]string {
 	return map[string]string{"audit:integrity": IntegritySeries}
 }
 
-// DefaultRecentCap bounds the in-memory ring of recent records served by
-// the admin endpoint.
-const DefaultRecentCap = 1024
+// recentCap bounds the in-memory ring of recent records served by the
+// admin endpoint.
+const recentCap = 1024
 
 // Options configures a Ledger. Dir is required; everything else defaults.
 type Options struct {
@@ -45,11 +45,6 @@ type Options struct {
 	Fsync durable.Policy
 	// FsyncInterval bounds staleness under FsyncInterval (default 100ms).
 	FsyncInterval time.Duration
-	// SegmentBytes overrides the WAL segment size (default 8 MiB).
-	SegmentBytes int64
-	// RecentCap bounds the in-memory ring of recent records (default
-	// DefaultRecentCap; <0 disables retention).
-	RecentCap int
 	// Registry receives the audit metric series (may be nil).
 	Registry *obs.Registry
 	// Logger records append failures and recovery summaries (may be nil).
@@ -92,7 +87,6 @@ type Ledger struct {
 	lastHash Digest
 	nextSeq  uint64
 	recent   []*Record // ring, oldest first
-	cap      int
 	now      func() time.Time
 	logger   *slog.Logger
 	tenant   string
@@ -133,14 +127,6 @@ func Open(opts Options) (*Ledger, error) {
 	if opts.Fsync == durable.FsyncInterval && opts.FsyncInterval <= 0 {
 		opts.FsyncInterval = 100 * time.Millisecond
 	}
-	rcap := opts.RecentCap
-	switch {
-	case rcap == 0:
-		rcap = DefaultRecentCap
-	case rcap < 0:
-		rcap = 0
-	}
-
 	rec, err := durable.Recover(opts.fsys(), opts.Dir)
 	if err != nil {
 		return nil, err
@@ -148,7 +134,7 @@ func Open(opts Options) (*Ledger, error) {
 	if rec.Snapshot != nil {
 		return nil, errors.New("audit: ledger directory holds a snapshot; audit ledgers are append-only and never compact")
 	}
-	l := &Ledger{cap: rcap, now: opts.Now, logger: opts.Logger, nextSeq: rec.NextIndex}
+	l := &Ledger{now: opts.Now, logger: opts.Logger, nextSeq: rec.NextIndex}
 	seq := rec.FirstIndex
 	if len(rec.Entries) > 0 && seq != 1 {
 		return nil, fmt.Errorf("audit: ledger starts at record %d, want 1 (compacted ledgers are not auditable)", seq)
@@ -174,7 +160,6 @@ func Open(opts Options) (*Ledger, error) {
 	}
 
 	l.log, err = durable.OpenLog(opts.fsys(), opts.Dir, durable.LogOptions{
-		SegmentBytes:  opts.SegmentBytes,
 		Fsync:         opts.Fsync,
 		FsyncInterval: opts.FsyncInterval,
 		Start:         rec.NextIndex,
@@ -206,11 +191,8 @@ func Open(opts Options) (*Ledger, error) {
 
 // keep appends r to the bounded recent ring.
 func (l *Ledger) keep(r *Record) {
-	if l.cap == 0 {
-		return
-	}
 	l.recent = append(l.recent, r)
-	if len(l.recent) > l.cap {
+	if len(l.recent) > recentCap {
 		l.recent = l.recent[1:]
 	}
 }

@@ -34,8 +34,8 @@ import (
 // unbounded allocation.
 const MaxRecordSize = 64 << 20
 
-// DefaultSegmentBytes is the segment rotation threshold.
-const DefaultSegmentBytes = 8 << 20
+// segmentBytes is the segment rotation threshold.
+const segmentBytes = 8 << 20
 
 const (
 	segPrefix = "wal-"
@@ -191,12 +191,9 @@ func scanWAL(fsys FS, dir string) (*walScan, error) {
 	return scan, nil
 }
 
-// LogOptions configures OpenLog. The zero value is FsyncAlways with the
-// default segment size, starting at index 1.
+// LogOptions configures OpenLog. The zero value is FsyncAlways, starting at
+// index 1.
 type LogOptions struct {
-	// SegmentBytes rotates to a new segment file once the active one
-	// exceeds this size (default DefaultSegmentBytes).
-	SegmentBytes int64
 	// Fsync selects when appends become durable (default FsyncAlways).
 	Fsync Policy
 	// FsyncInterval is the maximum staleness under FsyncInterval.
@@ -209,13 +206,15 @@ type LogOptions struct {
 	// FileMode is the permission for created files (default 0o600: WAL
 	// payloads are whatever the application journals, so default private).
 	FileMode os.FileMode
+	// segBytes overrides segmentBytes so tests rotate after a few records.
+	segBytes int64
 }
 
 func (o LogOptions) segmentBytes() int64 {
-	if o.SegmentBytes <= 0 {
-		return DefaultSegmentBytes
+	if o.segBytes <= 0 {
+		return segmentBytes
 	}
-	return o.SegmentBytes
+	return o.segBytes
 }
 
 func (o LogOptions) fileMode() os.FileMode {

@@ -179,7 +179,7 @@ func TestLogCorruptMiddleRecordTruncates(t *testing.T) {
 
 func TestLogSegmentRotationAndCompaction(t *testing.T) {
 	fsys := NewMemFS()
-	l, err := OpenLog(fsys, "data", LogOptions{Fsync: FsyncAlways, SegmentBytes: 32})
+	l, err := OpenLog(fsys, "data", LogOptions{Fsync: FsyncAlways, segBytes: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestLogFailAfterWriteOpsSweep(t *testing.T) {
 	// error. This is the deterministic kill -9 sweep.
 	for crashAt := 1; crashAt < 40; crashAt++ {
 		fsys := NewMemFS()
-		l, err := OpenLog(fsys, "data", LogOptions{Fsync: FsyncAlways, SegmentBytes: 48})
+		l, err := OpenLog(fsys, "data", LogOptions{Fsync: FsyncAlways, segBytes: 48})
 		if err != nil {
 			t.Fatal(err)
 		}

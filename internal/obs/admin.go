@@ -102,7 +102,7 @@ func StartAdminOpts(addr string, opts AdminOptions) (*Admin, error) {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		if traces == nil {
-			fmt.Fprintln(w, `{"seen":0,"sampling":1,"recent":[],"slowest":[]}`)
+			fmt.Fprintln(w, `{"seen":0,"recent":[],"slowest":[]}`)
 			return
 		}
 		_ = traces.WriteJSON(w)

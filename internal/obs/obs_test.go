@@ -108,7 +108,7 @@ func TestNewLogger(t *testing.T) {
 func TestAdminEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("demo_total", "A demo counter.").Add(9)
-	store := NewTraceStore(8)
+	store := newTraceStore(8)
 	demo := NewTrace("admin-demo")
 	endSpan := demo.Span("phase-a")
 	endSpan()

@@ -17,11 +17,11 @@ import (
 )
 
 // Profiler defaults: a short CPU window keeps a breach-triggered capture
-// cheap enough to run on a loaded server, the retention ring bounds disk,
-// and the minimum interval stops a flapping SLO from turning the profiler
-// into its own load source.
+// cheap enough to run on a loaded server, the retention ring of
+// profileMaxCaptures bundles bounds disk, and the minimum interval stops a
+// flapping SLO from turning the profiler into its own load source.
 const (
-	DefProfileMaxCaptures = 4
+	profileMaxCaptures    = 4
 	DefProfileCPUDuration = 1 * time.Second
 	DefProfileMinInterval = 30 * time.Second
 )
@@ -36,9 +36,6 @@ var (
 type ProfilerOptions struct {
 	// Dir is the capture root (required), typically <data-dir>/profiles.
 	Dir string
-	// MaxCaptures bounds retained capture bundles (default
-	// DefProfileMaxCaptures); older bundles are deleted.
-	MaxCaptures int
 	// CPUDuration is the CPU-profile window (default DefProfileCPUDuration).
 	CPUDuration time.Duration
 	// MinInterval rate-limits consecutive captures (default
@@ -50,6 +47,8 @@ type ProfilerOptions struct {
 	Logger *slog.Logger
 	// Clock drives rate-limiting (default time.Now; injectable for tests).
 	Clock func() time.Time
+	// maxCaptures overrides profileMaxCaptures so tests evict sooner.
+	maxCaptures int
 }
 
 // Profiler captures bounded, rate-limited diagnostic bundles — a gzipped
@@ -84,8 +83,8 @@ func NewProfiler(opts ProfilerOptions) (*Profiler, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("obs: profiler dir: %w", err)
 	}
-	if opts.MaxCaptures <= 0 {
-		opts.MaxCaptures = DefProfileMaxCaptures
+	if opts.maxCaptures <= 0 {
+		opts.maxCaptures = profileMaxCaptures
 	}
 	if opts.CPUDuration <= 0 {
 		opts.CPUDuration = DefProfileCPUDuration
@@ -101,7 +100,7 @@ func NewProfiler(opts ProfilerOptions) (*Profiler, error) {
 	}
 	p := &Profiler{
 		dir:    opts.Dir,
-		max:    opts.MaxCaptures,
+		max:    opts.maxCaptures,
 		cpuDur: opts.CPUDuration,
 		minGap: opts.MinInterval,
 		logger: opts.Logger,

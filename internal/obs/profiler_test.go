@@ -121,9 +121,9 @@ func TestProfilerRetention(t *testing.T) {
 	dir := t.TempDir()
 	p, err := NewProfiler(ProfilerOptions{
 		Dir:         dir,
-		MaxCaptures: 2,
 		CPUDuration: time.Millisecond,
 		MinInterval: -1,
+		maxCaptures: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

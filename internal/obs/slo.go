@@ -38,8 +38,8 @@ func (s SLOState) String() string {
 // brief spike (fast-only) or an old, already-recovered incident
 // (slow-only) does not alert.
 const (
-	DefFastBurnThreshold = 14.4
-	DefSlowBurnThreshold = 6.0
+	fastBurnThreshold = 14.4
+	slowBurnThreshold = 6.0
 )
 
 // Objective is one declarative latency SLO: GoodRatio of observations on
@@ -71,9 +71,7 @@ type SLOStatus struct {
 
 // EngineOptions tunes an SLO engine; the zero value selects the defaults.
 type EngineOptions struct {
-	FastBurnThreshold float64 // default DefFastBurnThreshold
-	SlowBurnThreshold float64 // default DefSlowBurnThreshold
-	Logger            *slog.Logger
+	Logger *slog.Logger
 }
 
 // Engine evaluates declarative latency objectives against windowed
@@ -85,7 +83,6 @@ type EngineOptions struct {
 // breach → ok cycle deterministically.
 type Engine struct {
 	reg         *Registry
-	fast, slow  float64
 	logger      *slog.Logger
 	stateVec    *GaugeVec
 	burnVec     *GaugeVec
@@ -103,19 +100,11 @@ type Engine struct {
 // registry or empty objective list yields a usable engine that evaluates
 // to nothing.
 func NewEngine(reg *Registry, objectives []Objective, opts EngineOptions) *Engine {
-	if opts.FastBurnThreshold <= 0 {
-		opts.FastBurnThreshold = DefFastBurnThreshold
-	}
-	if opts.SlowBurnThreshold <= 0 {
-		opts.SlowBurnThreshold = DefSlowBurnThreshold
-	}
 	if opts.Logger == nil {
 		opts.Logger = Nop()
 	}
 	return &Engine{
 		reg:    reg,
-		fast:   opts.FastBurnThreshold,
-		slow:   opts.SlowBurnThreshold,
 		logger: opts.Logger,
 		stateVec: reg.GaugeVec("slicer_slo_state",
 			"SLO state per objective: 0 ok, 1 warning, 2 breach.", []string{"slo"}),
@@ -244,9 +233,9 @@ func (e *Engine) evaluateOne(o Objective) SLOStatus {
 
 	state := SLOOK
 	switch {
-	case fastBurn >= e.fast && slowBurn >= e.fast:
+	case fastBurn >= fastBurnThreshold && slowBurn >= fastBurnThreshold:
 		state = SLOBreach
-	case fastBurn >= e.slow && slowBurn >= e.slow:
+	case fastBurn >= slowBurnThreshold && slowBurn >= slowBurnThreshold:
 		state = SLOWarning
 	}
 	st.State = state.String()

@@ -18,7 +18,7 @@ func TestSLOBurnRate(t *testing.T) {
 	reg := NewRegistry()
 	clk := newFakeClock(time.Unix(100000, 0))
 	h := reg.WindowedHistogramOpts("m_seconds", "", []float64{0.1, 1},
-		WindowOptions{SubWindows: 6, Width: 10 * time.Second, Clock: clk.Now})
+		WindowOptions{subWindows: 6, width: 10 * time.Second, Clock: clk.Now})
 
 	engine := NewEngine(reg, []Objective{{
 		Name:      "search",

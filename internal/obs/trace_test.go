@@ -205,7 +205,7 @@ func storedAt(name string, elapsed time.Duration) *Trace {
 }
 
 func TestTraceStoreRetention(t *testing.T) {
-	s := NewTraceStore(4)
+	s := newTraceStore(4)
 	var ids []string
 	for i := 0; i < 10; i++ {
 		tr := storedAt(fmt.Sprintf("t%d", i), time.Duration(i+1)*time.Second)
@@ -244,10 +244,9 @@ func TestTraceStoreRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	var payload struct {
-		Seen     uint64        `json:"seen"`
-		Sampling int           `json:"sampling"`
-		Recent   []StoredTrace `json:"recent"`
-		Slowest  []StoredTrace `json:"slowest"`
+		Seen    uint64        `json:"seen"`
+		Recent  []StoredTrace `json:"recent"`
+		Slowest []StoredTrace `json:"slowest"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &payload); err != nil {
 		t.Fatalf("list payload not JSON: %v\n%s", err, buf.String())
@@ -257,37 +256,9 @@ func TestTraceStoreRetention(t *testing.T) {
 	}
 }
 
-func TestTraceStoreSampling(t *testing.T) {
-	s := NewTraceStore(64)
-	s.SetSampling(3)
-	slowID := ""
-	for i := 0; i < 9; i++ {
-		d := time.Millisecond
-		if i == 5 {
-			d = time.Minute // an outlier landing on a sampled-out slot
-		}
-		tr := storedAt(fmt.Sprintf("t%d", i), d)
-		if i == 5 {
-			slowID = tr.ID()
-		}
-		s.Record(tr)
-	}
-	if got := len(s.Recent()); got != 3 {
-		t.Errorf("sampled ring holds %d, want 3 (1 of every 3)", got)
-	}
-	// Sampling must never lose outliers: the slow table sees every trace.
-	if _, ok := s.Get(slowID); !ok {
-		t.Error("sampled-out outlier missing from the slowest table")
-	}
-	if s.Seen() != 9 {
-		t.Errorf("Seen = %d, want 9", s.Seen())
-	}
-
-	// Nil-safety across the API.
+func TestTraceStoreNilSafe(t *testing.T) {
 	var nilStore *TraceStore
 	nilStore.Record(NewTrace("x"))
-	nilStore.SetCapacity(8)
-	nilStore.SetSampling(2)
 	if nilStore.Seen() != 0 || nilStore.Recent() != nil || nilStore.Slowest() != nil {
 		t.Error("nil store not inert")
 	}
@@ -296,10 +267,10 @@ func TestTraceStoreSampling(t *testing.T) {
 	}
 }
 
-// TestTraceStoreRace exercises concurrent record/list/evict/reconfigure; run
-// under -race in CI.
+// TestTraceStoreRace exercises concurrent record/list/evict; run under -race
+// in CI.
 func TestTraceStoreRace(t *testing.T) {
-	s := NewTraceStore(8)
+	s := newTraceStore(8)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -310,12 +281,6 @@ func TestTraceStoreRace(t *testing.T) {
 				end := tr.Span("phase")
 				end()
 				s.Record(tr)
-				if i%17 == 0 {
-					s.SetCapacity(4 + i%8)
-				}
-				if i%23 == 0 {
-					s.SetSampling(1 + i%3)
-				}
 			}
 		}(w)
 	}

@@ -7,9 +7,8 @@ import (
 	"time"
 )
 
-// DefaultTraceCapacity is the recent-ring size of a TraceStore when the
-// operator does not configure one.
-const DefaultTraceCapacity = 256
+// traceCapacity is the recent-ring size of a TraceStore.
+const traceCapacity = 256
 
 // StoredTrace is one finalized trace held by a TraceStore.
 type StoredTrace struct {
@@ -28,14 +27,12 @@ func (st *StoredTrace) WriteText(w io.Writer) error {
 
 // TraceStore retains finalized traces in bounded memory for /debug/traces:
 // a ring buffer of the most recent traces plus a side table of the slowest
-// ones ever seen (so latency outliers survive ring eviction), with an
-// optional sampling rate gating the ring. All methods are safe for
-// concurrent use and nil-safe.
+// ones ever seen (so latency outliers survive ring eviction). All methods
+// are safe for concurrent use and nil-safe.
 type TraceStore struct {
 	mu       sync.Mutex
 	capacity int
 	slowCap  int
-	sample   int // record 1 of every sample traces into the ring; 1 = all
 	seen     uint64
 
 	recent []StoredTrace // ring, next is the write cursor
@@ -45,65 +42,14 @@ type TraceStore struct {
 	slow []StoredTrace // slowest-first is NOT maintained; slowest set, unordered
 }
 
-// NewTraceStore creates a store retaining up to capacity recent traces
-// (DefaultTraceCapacity if capacity <= 0) and capacity/8 (at least 4)
-// slowest traces.
-func NewTraceStore(capacity int) *TraceStore {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	slowCap := capacity / 8
-	if slowCap < 4 {
-		slowCap = 4
-	}
-	return &TraceStore{capacity: capacity, slowCap: slowCap, sample: 1}
-}
+// NewTraceStore creates a store retaining the 256 most recent traces and
+// the 32 slowest.
+func NewTraceStore() *TraceStore { return newTraceStore(traceCapacity) }
 
-// SetCapacity resizes the recent ring (dropping retained traces) and scales
-// the slowest-N table; n <= 0 restores the default.
-func (s *TraceStore) SetCapacity(n int) {
-	if s == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultTraceCapacity
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.capacity = n
-	s.slowCap = n / 8
-	if s.slowCap < 4 {
-		s.slowCap = 4
-	}
-	s.recent, s.next, s.filled = nil, 0, false
-	if len(s.slow) > s.slowCap {
-		s.slow = append([]StoredTrace(nil), s.slow[:s.slowCap]...)
-	}
-}
-
-// SetSampling records only 1 of every n traces into the recent ring (the
-// slowest-N table still sees every trace, so outliers are never sampled
-// away). n <= 1 records everything.
-func (s *TraceStore) SetSampling(n int) {
-	if s == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	s.mu.Lock()
-	s.sample = n
-	s.mu.Unlock()
-}
-
-// Sampling reports the configured rate.
-func (s *TraceStore) Sampling() int {
-	if s == nil {
-		return 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sample
+// newTraceStore retains capacity recent traces and capacity/8 (at least 4)
+// slowest ones; tests use small rings.
+func newTraceStore(capacity int) *TraceStore {
+	return &TraceStore{capacity: capacity, slowCap: max(capacity/8, 4)}
 }
 
 // Record finalizes a trace into the store. Nil traces and nil stores are
@@ -127,15 +73,13 @@ func (s *TraceStore) record(st StoredTrace) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seen++
-	if s.sample <= 1 || s.seen%uint64(s.sample) == 1 {
-		if s.recent == nil {
-			s.recent = make([]StoredTrace, s.capacity)
-		}
-		s.recent[s.next] = st
-		s.next++
-		if s.next == len(s.recent) {
-			s.next, s.filled = 0, true
-		}
+	if s.recent == nil {
+		s.recent = make([]StoredTrace, s.capacity)
+	}
+	s.recent[s.next] = st
+	s.next++
+	if s.next == len(s.recent) {
+		s.next, s.filled = 0, true
 	}
 	// Slowest-N retention: replace the fastest retained trace when full.
 	if len(s.slow) < s.slowCap {
@@ -226,15 +170,14 @@ func (s *TraceStore) Get(id string) (StoredTrace, bool) {
 	return StoredTrace{}, false
 }
 
-// WriteJSON emits {"seen": N, "sampling": S, "recent": [...], "slowest":
-// [...]}, the /debug/traces list payload.
+// WriteJSON emits {"seen": N, "recent": [...], "slowest": [...]}, the
+// /debug/traces list payload.
 func (s *TraceStore) WriteJSON(w io.Writer) error {
 	payload := struct {
-		Seen     uint64        `json:"seen"`
-		Sampling int           `json:"sampling"`
-		Recent   []StoredTrace `json:"recent"`
-		Slowest  []StoredTrace `json:"slowest"`
-	}{s.Seen(), s.Sampling(), s.Recent(), s.Slowest()}
+		Seen    uint64        `json:"seen"`
+		Recent  []StoredTrace `json:"recent"`
+		Slowest []StoredTrace `json:"slowest"`
+	}{s.Seen(), s.Recent(), s.Slowest()}
 	if payload.Recent == nil {
 		payload.Recent = []StoredTrace{}
 	}

@@ -19,7 +19,7 @@ func stored(name string, d time.Duration) StoredTrace {
 // fastest retention policy must converge to the true top-N regardless of
 // insertion order or interleaving.
 func TestTraceStoreSlowestExact(t *testing.T) {
-	s := NewTraceStore(32) // slowCap = 4
+	s := newTraceStore(32) // slowCap = 4
 	const workers, perWorker = 8, 50
 
 	var wg sync.WaitGroup
@@ -62,7 +62,7 @@ func TestTraceStoreSlowestExact(t *testing.T) {
 // table is full, a new trace evicts the FASTEST retained one — and only
 // when the newcomer is slower than it.
 func TestTraceStoreSlowestEviction(t *testing.T) {
-	s := NewTraceStore(32) // slowCap = 4
+	s := newTraceStore(32) // slowCap = 4
 	for _, ms := range []int{100, 400, 200, 300} {
 		s.record(stored(fmt.Sprintf("t%d", ms), time.Duration(ms)*time.Millisecond))
 	}
@@ -99,29 +99,19 @@ func TestTraceStoreSlowestEviction(t *testing.T) {
 	}
 }
 
-// TestTraceStoreSlowestSurvivesResize checks SetCapacity truncates the
-// slowest table to the new bound without losing the slowest entries'
-// relative order guarantee on the next insert.
-func TestTraceStoreSlowestSurvivesResize(t *testing.T) {
-	s := NewTraceStore(64) // slowCap = 8
-	for i := 1; i <= 8; i++ {
-		s.record(stored(fmt.Sprintf("t%d", i), time.Duration(i)*time.Second))
-	}
-	s.SetCapacity(32) // slowCap shrinks to 4
-	if got := len(s.Slowest()); got > 4 {
-		t.Fatalf("resized slowest table holds %d, want <= 4", got)
-	}
-	// Inserting a clear outlier after the resize still lands in the table.
-	s.record(stored("huge", time.Minute))
-	if got := s.Slowest(); got[0].Name != "huge" {
-		t.Errorf("post-resize outlier missing: %v", names(got))
-	}
-}
-
 func names(sts []StoredTrace) []string {
 	out := make([]string, len(sts))
 	for i := range sts {
 		out[i] = sts[i].Name
 	}
 	return out
+}
+
+// TestTraceStoreDefaults pins the served store: 256 recent traces, the 32
+// slowest.
+func TestTraceStoreDefaults(t *testing.T) {
+	s := NewTraceStore()
+	if s.capacity != 256 || s.slowCap != 32 {
+		t.Fatalf("NewTraceStore() keeps %d recent and %d slowest, want 256 and 32", s.capacity, s.slowCap)
+	}
 }

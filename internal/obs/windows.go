@@ -19,23 +19,23 @@ const (
 // WindowOptions configures a sliding-window histogram ring. The zero value
 // selects the defaults (12 x 10s, wall clock).
 type WindowOptions struct {
-	// SubWindows is the number of ring slots (default DefWindowSubCount).
-	SubWindows int
-	// Width is the span of one sub-window (default DefWindowSubWidth).
-	Width time.Duration
 	// Clock supplies time to the ring. It defaults to time.Now at this
 	// single injection point; every evaluation path (observe, merge,
 	// quantile, SLO burn rate) goes through the injected clock, so tests
 	// and deterministic replays never touch the wall clock.
 	Clock func() time.Time
+	// subWindows and width override DefWindowSubCount and DefWindowSubWidth
+	// so tests work on short rings.
+	subWindows int
+	width      time.Duration
 }
 
 func (w WindowOptions) withDefaults() WindowOptions {
-	if w.SubWindows <= 0 {
-		w.SubWindows = DefWindowSubCount
+	if w.subWindows <= 0 {
+		w.subWindows = DefWindowSubCount
 	}
-	if w.Width <= 0 {
-		w.Width = DefWindowSubWidth
+	if w.width <= 0 {
+		w.width = DefWindowSubWidth
 	}
 	if w.Clock == nil {
 		w.Clock = time.Now
@@ -86,8 +86,8 @@ type windowRing struct {
 
 func newWindowRing(bounds []float64, opts WindowOptions) *windowRing {
 	opts = opts.withDefaults()
-	r := &windowRing{width: opts.Width, bounds: bounds, now: opts.Clock}
-	r.slots = make([]windowSlot, opts.SubWindows)
+	r := &windowRing{width: opts.width, bounds: bounds, now: opts.Clock}
+	r.slots = make([]windowSlot, opts.subWindows)
 	for i := range r.slots {
 		r.slots[i] = windowSlot{index: slotEmpty, counts: make([]uint64, len(bounds)+1)}
 	}

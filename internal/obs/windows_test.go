@@ -32,7 +32,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 func TestWindowRingEviction(t *testing.T) {
 	clk := newFakeClock(time.Unix(1000, 0))
 	ring := newWindowRing([]float64{1, 10}, WindowOptions{
-		SubWindows: 3, Width: 10 * time.Second, Clock: clk.Now,
+		subWindows: 3, width: 10 * time.Second, Clock: clk.Now,
 	})
 	if got, want := ring.span(), 30*time.Second; got != want {
 		t.Fatalf("span = %v, want %v", got, want)
@@ -71,7 +71,7 @@ func TestWindowRingEviction(t *testing.T) {
 func TestWindowRingSpanClamp(t *testing.T) {
 	clk := newFakeClock(time.Unix(0, 0))
 	ring := newWindowRing([]float64{1}, WindowOptions{
-		SubWindows: 4, Width: time.Second, Clock: clk.Now,
+		subWindows: 4, width: time.Second, Clock: clk.Now,
 	})
 	if _, _, _, eff := ring.view(0); eff != time.Second {
 		t.Errorf("zero span clamps to %v, want 1s", eff)
@@ -92,7 +92,7 @@ func TestWindowRingSpanClamp(t *testing.T) {
 func TestWindowRingPreEpoch(t *testing.T) {
 	clk := newFakeClock(time.Unix(-5, 0))
 	ring := newWindowRing([]float64{1}, WindowOptions{
-		SubWindows: 4, Width: 10 * time.Second, Clock: clk.Now,
+		subWindows: 4, width: 10 * time.Second, Clock: clk.Now,
 	})
 	before := ring.windowIndex(time.Unix(-5, 0))
 	after := ring.windowIndex(time.Unix(5, 0))
@@ -167,7 +167,7 @@ func TestWindowedHistogramRegistry(t *testing.T) {
 	r := NewRegistry()
 	clk := newFakeClock(time.Unix(1000, 0))
 	h := r.WindowedHistogramOpts("w_seconds", "", []float64{1, 10},
-		WindowOptions{SubWindows: 2, Width: time.Second, Clock: clk.Now})
+		WindowOptions{subWindows: 2, width: time.Second, Clock: clk.Now})
 	if !h.Windowed() {
 		t.Fatal("histogram not windowed")
 	}

@@ -28,10 +28,10 @@ import (
 	"slicer/internal/store"
 )
 
-// DefaultVnodes is how many ring points each shard contributes when a table
-// is first built. More points smooth the initial split; rebalancing corrects
+// ringVnodes is how many ring points each shard contributes when a table is
+// first built. More points smooth the initial split; rebalancing corrects
 // residual skew at runtime.
-const DefaultVnodes = 16
+const ringVnodes = 16
 
 // Segment is one contiguous arc of the address space: [Start, nextStart)
 // owned by Shard, where nextStart is the following segment's Start (or 2^64
@@ -58,16 +58,13 @@ func ringPoint(shard string, vnode int) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// NewTable builds the epoch-0 table for a shard list: each shard contributes
-// vnodes consistent-hash points (DefaultVnodes if vnodes <= 0), and each arc
-// between adjacent points belongs to the point opening it, with the arc
-// below the lowest point wrapping to the owner of the highest.
-func NewTable(shards []string, vnodes int) (*Table, error) {
+// newTable builds the epoch-0 table for a shard list: each shard contributes
+// vnodes consistent-hash points, and each arc between adjacent points
+// belongs to the point opening it, with the arc below the lowest point
+// wrapping to the owner of the highest.
+func newTable(shards []string, vnodes int) (*Table, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("shard: table needs at least one shard")
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
 	}
 	type point struct {
 		at    uint64

@@ -6,14 +6,14 @@ import (
 )
 
 func TestNewTableCoversSpaceDeterministically(t *testing.T) {
-	a, err := NewTable([]string{"s1", "s2", "s3"}, 0)
+	a, err := newTable([]string{"s1", "s2", "s3"}, ringVnodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := NewTable([]string{"s1", "s2", "s3"}, 0)
+	b, _ := newTable([]string{"s1", "s2", "s3"}, ringVnodes)
 	aj, _ := json.Marshal(a)
 	bj, _ := json.Marshal(b)
 	if string(aj) != string(bj) {
@@ -32,19 +32,19 @@ func TestNewTableCoversSpaceDeterministically(t *testing.T) {
 }
 
 func TestNewTableRejectsBadInput(t *testing.T) {
-	if _, err := NewTable(nil, 0); err == nil {
+	if _, err := newTable(nil, ringVnodes); err == nil {
 		t.Fatal("empty shard list accepted")
 	}
-	if _, err := NewTable([]string{"a", "a"}, 4); err == nil {
+	if _, err := newTable([]string{"a", "a"}, 4); err == nil {
 		t.Fatal("duplicate shard ID accepted")
 	}
-	if _, err := NewTable([]string{""}, 4); err == nil {
+	if _, err := newTable([]string{""}, 4); err == nil {
 		t.Fatal("empty shard ID accepted")
 	}
 }
 
 func TestTableMove(t *testing.T) {
-	tab, err := NewTable([]string{"s1", "s2"}, 4)
+	tab, err := newTable([]string{"s1", "s2"}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestTableMove(t *testing.T) {
 }
 
 func TestTableRangesRoundTrip(t *testing.T) {
-	tab, err := NewTable([]string{"s1", "s2", "s3"}, 8)
+	tab, err := newTable([]string{"s1", "s2", "s3"}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,11 +29,15 @@ const (
 	MethodRouterRebalance = "router.rebalance"
 )
 
-// DefaultBatch is the first probe window of a walk: how many counters each
+// firstWindow is the first probe window of a walk: how many counters each
 // epoch of a token asks for in its first scatter round. An epoch that fills
 // its window doubles it, so the probes past the end of a list number at most
-// max(n, Batch).
-const DefaultBatch = 16
+// max(n, firstWindow).
+const firstWindow = 16
+
+// ringEpochs bounds how many past table epochs are retained in memory for
+// inspection via router.table.
+const ringEpochs = 8
 
 // maxRoundLabels caps the labels one scatter round of a walk carries, however
 // many epochs the token claims and however far their windows have doubled.
@@ -58,22 +62,15 @@ type Options struct {
 	// Fsync / FsyncInterval select the WAL durability policy.
 	Fsync         durable.Policy
 	FsyncInterval time.Duration
-	// Vnodes is the consistent-hash points per shard for a fresh table
-	// (default DefaultVnodes).
-	Vnodes int
-	// RingEpochs bounds how many past table epochs are retained in memory
-	// for inspection via router.table (default 8).
-	RingEpochs int
-	// Workers bounds token-level search concurrency (0: one per core).
-	Workers int
-	// Batch is the first probe window of a walk (default DefaultBatch).
-	Batch int
 	// Registry receives slicer_shard_* series (may be nil).
 	Registry *obs.Registry
 	// Logger records scatter and rebalance lifecycle events (may be nil).
 	Logger *slog.Logger
 	// Client tunes the connections the router opens to shards.
 	Client wire.ClientOptions
+	// workers (0: one per core) and batch (0: firstWindow) let tests fix
+	// the search fan-out and shrink the first probe window.
+	workers, batch int
 }
 
 // moveWindow is the double-read window of an in-flight range move: labels
@@ -118,7 +115,6 @@ type Router struct {
 	pools   map[string]*pool
 	workers int
 	batch   int
-	epochs  int
 	logger  *slog.Logger
 	started time.Time
 
@@ -159,18 +155,13 @@ func NewRouter(opts Options) (*Router, error) {
 		srv:     wire.NewServer(),
 		specs:   append([]ShardSpec(nil), opts.Shards...),
 		pools:   make(map[string]*pool, len(opts.Shards)),
-		workers: core.EffectiveWorkers(opts.Workers),
-		batch:   opts.Batch,
-		epochs:  opts.RingEpochs,
+		workers: core.EffectiveWorkers(opts.workers),
+		batch:   firstWindow,
 		logger:  opts.Logger,
 		started: time.Now(),
 	}
-	if r.batch <= 0 {
-		r.batch = DefaultBatch
-	}
-	r.batch = min(r.batch, maxRoundLabels)
-	if r.epochs <= 0 {
-		r.epochs = 8
+	if opts.batch > 0 {
+		r.batch = opts.batch
 	}
 	if r.logger == nil {
 		r.logger = obs.Nop()
@@ -190,7 +181,7 @@ func NewRouter(opts Options) (*Router, error) {
 		return nil, err
 	}
 	if r.table == nil {
-		t, err := NewTable(ids, opts.Vnodes)
+		t, err := newTable(ids, ringVnodes)
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +196,7 @@ func NewRouter(opts Options) (*Router, error) {
 		}
 	}
 	r.registerMetrics(opts.Registry)
-	r.traces = obs.NewTraceStore(0)
+	r.traces = obs.NewTraceStore()
 	r.srv.SetTraceStore(r.traces)
 	r.srv.HandleMeta(wire.MethodCloudInit, r.handleInit)
 	r.srv.HandleMeta(wire.MethodCloudUpdate, r.handleUpdate)
@@ -268,8 +259,8 @@ func (r *Router) recover(opts Options) error {
 func (r *Router) pushTable(t *Table) {
 	if r.table != nil {
 		r.history = append(r.history, r.table)
-		if max := r.epochs; len(r.history) > max {
-			r.history = r.history[len(r.history)-max:]
+		if len(r.history) > ringEpochs {
+			r.history = r.history[len(r.history)-ringEpochs:]
 		}
 	}
 	r.table = t

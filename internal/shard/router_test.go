@@ -186,7 +186,7 @@ func TestScatterGatherEquivalence(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7} {
 		n := n
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			f := newFixture(t, n, 50, int64(100+n), Options{Workers: 4})
+			f := newFixture(t, n, 50, int64(100+n), Options{workers: 4})
 			rng := rand.New(rand.NewSource(int64(n)))
 			queries := []core.Query{
 				core.Less(1),
@@ -209,7 +209,7 @@ func TestScatterGatherEquivalence(t *testing.T) {
 // TestRoutedUpdateEquivalence inserts through the router and re-checks
 // equivalence: the delta must split by address while the ADS replicates.
 func TestRoutedUpdateEquivalence(t *testing.T) {
-	f := newFixture(t, 3, 40, 9, Options{Workers: 4})
+	f := newFixture(t, 3, 40, 9, Options{workers: 4})
 	for i := 0; i < 3; i++ {
 		up, err := f.owner.Insert([]core.Record{core.NewRecord(uint64(5000+i), uint64(40+i))})
 		if err != nil {
@@ -232,7 +232,7 @@ func TestRoutedUpdateEquivalence(t *testing.T) {
 // re-checks byte-identical search before, during is covered by the race
 // test, and after the move.
 func TestRebalanceEquivalence(t *testing.T) {
-	f := newFixture(t, 3, 60, 17, Options{Workers: 4})
+	f := newFixture(t, 3, 60, 17, Options{workers: 4})
 	f.checkQuery(t, core.Less(200))
 	table := f.router.Table()
 	src := table.Shards()[0]
@@ -260,7 +260,7 @@ func TestRebalanceEquivalence(t *testing.T) {
 // while ranges move between shards; zero searches may fail and every
 // response must verify. Run with -race.
 func TestSearchDuringRebalance(t *testing.T) {
-	f := newFixture(t, 3, 60, 23, Options{Workers: 4})
+	f := newFixture(t, 3, 60, 23, Options{workers: 4})
 	req, err := f.user.Token(core.Less(200))
 	if err != nil {
 		t.Fatalf("Token: %v", err)
@@ -344,7 +344,7 @@ func FuzzScatterGatherEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shardSel, nRec uint8, seed int64, val, op uint8) {
 		nShards := shardCounts[int(shardSel)%len(shardCounts)]
 		n := 5 + int(nRec)%40
-		fx := newFixture(t, nShards, n, seed, Options{Workers: 2, Batch: 4})
+		fx := newFixture(t, nShards, n, seed, Options{workers: 2, batch: 4})
 		for round := 0; round < int(nRec)/40; round++ {
 			// 1..11 records of the queried value: list lengths on both sides
 			// of the first (4) and second (8) probe window.
@@ -376,7 +376,7 @@ func windowEdges(b int) []int {
 // range on both shards, and on the destination alone before the window shuts.
 func TestFrontierWindowEdges(t *testing.T) {
 	const batch = 4
-	f := newFixture(t, 3, 30, 41, Options{Workers: 4, Batch: batch})
+	f := newFixture(t, 3, 30, 41, Options{workers: 4, batch: batch})
 	edges := windowEdges(batch)
 	for e := 0; e < 3*len(edges); e++ {
 		recs := f.records(edges[e%len(edges)], 77)
@@ -482,7 +482,7 @@ func (c *mgetCounter) take() []int {
 func TestFrontierRoundCount(t *testing.T) {
 	const batch = 4
 	var counter mgetCounter
-	f := newFixtureFronted(t, 1, 20, 43, Options{Workers: 2, Batch: batch}, counter.front(t))
+	f := newFixtureFronted(t, 1, 20, 43, Options{workers: 2, batch: batch}, counter.front(t))
 	value := uint64(0)
 	for present := true; present; {
 		value++

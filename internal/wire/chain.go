@@ -72,7 +72,7 @@ type ChainServer struct {
 // default so propagated traces are inspectable at /debug/traces.
 func NewChainServer(network *chain.Network) *ChainServer {
 	cs := &ChainServer{network: network, srv: NewServer(), started: time.Now()}
-	cs.srv.SetTraceStore(obs.NewTraceStore(0))
+	cs.srv.SetTraceStore(obs.NewTraceStore())
 	cs.srv.HandleTraced(MethodChainSubmit, cs.handleSubmit)
 	cs.srv.HandleTraced(MethodChainStep, cs.handleStep)
 	cs.srv.Handle(MethodChainReceipt, cs.handleReceipt)

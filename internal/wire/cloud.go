@@ -170,7 +170,7 @@ type CloudServer struct {
 // /debug/traces; tune or replace it via Traces / Server().SetTraceStore.
 func NewCloudServer() *CloudServer {
 	cs := &CloudServer{srv: NewServer(), started: time.Now()}
-	cs.srv.SetTraceStore(obs.NewTraceStore(0))
+	cs.srv.SetTraceStore(obs.NewTraceStore())
 	cs.srv.HandleMeta(MethodCloudInit, cs.handleInit)
 	cs.srv.HandleMeta(MethodCloudUpdate, cs.handleUpdate)
 	cs.srv.HandleMeta(MethodCloudSearch, cs.handleSearch)

@@ -47,33 +47,21 @@ type DurabilityOptions struct {
 	Fsync durable.Policy
 	// FsyncInterval bounds staleness under durable.FsyncInterval.
 	FsyncInterval time.Duration
-	// SegmentBytes overrides the WAL segment size (default 8 MiB).
-	SegmentBytes int64
-	// SnapshotEvery folds state into a snapshot after this many journaled
-	// records (default 256; <0 disables the record trigger).
-	SnapshotEvery int
-	// SnapshotBytes also triggers a snapshot once this many WAL bytes
-	// accumulate since the last one (default 16 MiB; <0 disables).
-	SnapshotBytes int64
 	// Registry receives WAL/snapshot/recovery series (may be nil).
 	Registry *obs.Registry
 	// Logger records snapshot failures and recovery summaries (may be nil).
 	Logger *slog.Logger
+	// snapEvery overrides snapshotRecords so tests snapshot after a few
+	// records.
+	snapEvery int
 }
 
-func (o DurabilityOptions) snapshotEvery() int {
-	if o.SnapshotEvery == 0 {
-		return 256
-	}
-	return o.SnapshotEvery
-}
-
-func (o DurabilityOptions) snapshotBytes() int64 {
-	if o.SnapshotBytes == 0 {
-		return 16 << 20
-	}
-	return o.SnapshotBytes
-}
+// State is folded into a snapshot once snapshotRecords records or
+// snapshotBytes WAL bytes were journaled since the last one.
+const (
+	snapshotRecords = 256
+	snapshotBytes   = 16 << 20
+)
 
 func (o DurabilityOptions) fsys() durable.FS {
 	if o.FS == nil {
@@ -104,7 +92,6 @@ type journal struct {
 	log        *durable.Log
 	snap       *durable.Snapshotter
 	every      int
-	everyBytes int64
 	sinceRecs  int
 	sinceBytes int64
 	logger     *slog.Logger
@@ -118,7 +105,6 @@ func openJournal(opts DurabilityOptions, next uint64) (*journal, error) {
 		return nil, errors.New("wire: durability needs a data directory")
 	}
 	log, err := durable.OpenLog(opts.fsys(), opts.Dir, durable.LogOptions{
-		SegmentBytes:  opts.SegmentBytes,
 		Fsync:         opts.Fsync,
 		FsyncInterval: opts.FsyncInterval,
 		Start:         next,
@@ -127,11 +113,13 @@ func openJournal(opts DurabilityOptions, next uint64) (*journal, error) {
 		return nil, err
 	}
 	j := &journal{
-		log:        log,
-		snap:       durable.NewSnapshotter(opts.fsys(), opts.Dir, 0),
-		every:      opts.snapshotEvery(),
-		everyBytes: opts.snapshotBytes(),
-		logger:     opts.Logger,
+		log:    log,
+		snap:   durable.NewSnapshotter(opts.fsys(), opts.Dir, 0),
+		every:  snapshotRecords,
+		logger: opts.Logger,
+	}
+	if opts.snapEvery > 0 {
+		j.every = opts.snapEvery
 	}
 	if opts.Registry != nil {
 		log.SetMetrics(opts.Registry)
@@ -159,9 +147,7 @@ func (j *journal) commit(rec []byte, apply func() error, state func() ([]byte, e
 	}
 	j.sinceRecs++
 	j.sinceBytes += int64(len(rec))
-	recTrigger := j.every > 0 && j.sinceRecs >= j.every
-	byteTrigger := j.everyBytes > 0 && j.sinceBytes >= j.everyBytes
-	if recTrigger || byteTrigger {
+	if j.sinceRecs >= j.every || j.sinceBytes >= snapshotBytes {
 		j.snapshotLocked(idx, state)
 	}
 	return nil

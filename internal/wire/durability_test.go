@@ -210,7 +210,7 @@ func TestCloudServerSnapshotTriggerCompactsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	fsys := durable.NewMemFS()
-	srv1, cli1, _ := durableCloud(t, fsys, "cloud", DurabilityOptions{SnapshotEvery: 2})
+	srv1, cli1, _ := durableCloud(t, fsys, "cloud", DurabilityOptions{snapEvery: 2})
 	if err := cli1.Init(owner.CloudInit(built.Index), true); err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestChainServerDurableRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv := NewChainServer(network)
-		stats, err := srv.EnableDurability(DurabilityOptions{FS: fsys, Dir: "chain", SnapshotEvery: 2})
+		stats, err := srv.EnableDurability(DurabilityOptions{FS: fsys, Dir: "chain", snapEvery: 2})
 		if err != nil {
 			t.Fatalf("EnableDurability: %v", err)
 		}
@@ -551,7 +551,7 @@ func TestChainServerDurableRestart(t *testing.T) {
 	defer srv2.Close()
 	defer cli2.Close()
 	if stats.SnapshotIndex == 0 {
-		t.Fatalf("expected snapshot-based recovery with SnapshotEvery=2: %+v", stats)
+		t.Fatalf("expected snapshot-based recovery with snapEvery=2: %+v", stats)
 	}
 	h, err := cli2.Height()
 	if err != nil || h != 5 {

@@ -16,6 +16,7 @@ func FuzzReadMessage(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{0x04, 0, 0, 0}) // declares MaxMessageSize, sends no body
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var v json.RawMessage

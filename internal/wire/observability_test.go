@@ -172,7 +172,7 @@ func TestServerMetricsAndLogging(t *testing.T) {
 func TestServerTenantSeries(t *testing.T) {
 	srv := NewServer()
 	srv.Handle("ping", func(_ json.RawMessage) (any, error) { return "pong", nil })
-	srv.SetLabelCap(2)
+	srv.labelCap = 2
 	reg := obs.NewRegistry()
 	srv.SetMetrics(reg, "unit")
 	addr, err := srv.Listen("127.0.0.1:0")

@@ -18,7 +18,7 @@ func startEchoServer(t *testing.T) (*Server, string, *obs.Registry) {
 	reg := obs.NewRegistry()
 	srv := NewServer()
 	srv.SetMetrics(reg, "echo")
-	srv.SetTraceStore(obs.NewTraceStore(8))
+	srv.SetTraceStore(obs.NewTraceStore())
 	srv.HandleTraced("echo", func(params json.RawMessage, tr *obs.Trace) (any, error) {
 		end := tr.Span("echo.work")
 		time.Sleep(time.Millisecond)
@@ -166,7 +166,7 @@ func TestHostileTraceContextIgnored(t *testing.T) {
 // tree for valid sampled contexts.
 func FuzzRequestTraceContext(f *testing.F) {
 	srv := NewServer()
-	srv.SetTraceStore(obs.NewTraceStore(4))
+	srv.SetTraceStore(obs.NewTraceStore())
 	srv.Handle("ping", func(json.RawMessage) (any, error) { return "pong", nil })
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

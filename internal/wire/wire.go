@@ -27,6 +27,11 @@ import (
 // cannot trigger unbounded allocation.
 const MaxMessageSize = 64 << 20
 
+// firstBodyChunk is the body buffer a frame read starts with. It doubles,
+// up to the declared length, only as bytes arrive, so a header alone pins
+// no more than this.
+const firstBodyChunk = 64 << 10
+
 // DefaultIdleTimeout is how long a server connection may sit idle between
 // requests before it is dropped, freeing the goroutine a stalled or dead
 // peer would otherwise pin forever. Configurable per server with
@@ -109,9 +114,17 @@ func readMessage(r io.Reader, v any) (int, error) {
 	if n > MaxMessageSize {
 		return 0, fmt.Errorf("wire: message of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, err
+	body := make([]byte, min(int(n), firstBodyChunk))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, body[got:]); err != nil {
+			return 0, err
+		}
+		if got = len(body); got == int(n) {
+			break
+		}
+		grown := make([]byte, min(2*len(body), int(n)))
+		copy(grown, body)
+		body = grown
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		return 0, fmt.Errorf("wire: unmarshal: %w", err)
@@ -171,7 +184,7 @@ type Server struct {
 	logger       *slog.Logger
 	reg          *obs.Registry
 	subsystem    string
-	labelCap     int // per-vector cardinality cap; 0 = obs.DefLabelCap
+	labelCap     int // tenant-series cap; 0 = obs.DefLabelCap, tests lower it
 	traces       *obs.TraceStore
 	connsOpen    *obs.Gauge
 	connsTotal   *obs.Counter
@@ -222,23 +235,6 @@ func (s *Server) SetIdleTimeout(d time.Duration) {
 
 // IdleTimeout reports the configured idle bound.
 func (s *Server) IdleTimeout() time.Duration { return time.Duration(s.idleTimeout.Load()) }
-
-// DefaultTenantLabelCap is the default bound on distinct tenant label
-// values a server materializes before further tenants collapse into the
-// "other" sentinel series.
-const DefaultTenantLabelCap = obs.DefLabelCap
-
-// SetLabelCap bounds the per-tenant (and other vector) label cardinality
-// this server materializes; n <= 0 restores obs.DefLabelCap. Call before
-// SetMetrics — the cap is baked into the vectors when they are created.
-func (s *Server) SetLabelCap(n int) {
-	s.mu.Lock()
-	if n < 0 {
-		n = 0
-	}
-	s.labelCap = n
-	s.mu.Unlock()
-}
 
 // SetMetrics attaches an observability registry. subsystem labels every
 // series (e.g. "cloud", "chain") so one registry can host several servers.

@@ -3,8 +3,10 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"slicer/internal/chain"
 	"slicer/internal/contract"
@@ -33,6 +35,42 @@ func TestFramingRejectsOversized(t *testing.T) {
 	var v any
 	if err := ReadMessage(&hdr, &v); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Errorf("oversized frame: err=%v", err)
+	}
+}
+
+// A peer that sends a header declaring the largest legal frame and then
+// nothing must not make the reader allocate that frame.
+func TestFramingAllocatesAsBodyArrives(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var v json.RawMessage
+	err := ReadMessage(bytes.NewReader([]byte{0x04, 0, 0, 0}), &v) // MaxMessageSize
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header-only frame parsed")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("header-only frame claiming %d bytes allocated %d bytes", MaxMessageSize, alloc)
+	}
+}
+
+// Frames past the first body chunk grow to their declared length and parse
+// back, also when the reader returns short reads; a body cut short fails.
+func TestFramingLargeFrames(t *testing.T) {
+	for _, n := range []int{firstBodyChunk, firstBodyChunk + 1, 5<<20 + 3} {
+		var buf bytes.Buffer
+		want := strings.Repeat("a", n-2) // a JSON string of n bytes
+		if err := WriteMessage(&buf, want); err != nil {
+			t.Fatal(err)
+		}
+		framed := buf.Bytes()
+		var got string
+		if err := ReadMessage(iotest.HalfReader(bytes.NewReader(framed)), &got); err != nil || got != want {
+			t.Fatalf("%d-byte frame: err %v, round trip equal %v", n, err, got == want)
+		}
+		if err := ReadMessage(bytes.NewReader(framed[:len(framed)-1]), &got); err == nil {
+			t.Fatalf("%d-byte frame missing its last byte parsed", n)
+		}
 	}
 }
 

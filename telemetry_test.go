@@ -141,7 +141,8 @@ func TestExemplarLinksTrace(t *testing.T) {
 // TestProfilerCapturesOnBreach is the end-to-end acceptance check for
 // trigger-based profiling: a forced SLO breach over real loopback RPCs must
 // produce a complete, SIGKILL-safe capture bundle in the data directory,
-// and repeated captures must stay bounded at MaxCaptures.
+// and repeated captures must stay bounded at the profiler's 4 retained
+// bundles.
 func TestProfilerCapturesOnBreach(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, search := startObservedCloud(t, reg)
@@ -149,7 +150,6 @@ func TestProfilerCapturesOnBreach(t *testing.T) {
 	profDir := filepath.Join(t.TempDir(), "profiles")
 	prof, err := obs.NewProfiler(obs.ProfilerOptions{
 		Dir:         profDir,
-		MaxCaptures: 2,
 		CPUDuration: 50 * time.Millisecond,
 		MinInterval: -1, // every breach may capture in this test
 		Registry:    reg,
@@ -234,8 +234,8 @@ func TestProfilerCapturesOnBreach(t *testing.T) {
 	if len(captured) != 1 {
 		t.Fatalf("steady-state breach re-captured (%d)", len(captured))
 	}
-	// ...and forcing more captures keeps the directory bounded at MaxCaptures.
-	for i := 0; i < 3; i++ {
+	// ...and forcing more captures keeps the directory bounded at 4 bundles.
+	for i := 0; i < 4; i++ {
 		if _, err := prof.CaptureNow("manual"); err != nil {
 			t.Fatalf("manual capture %d: %v", i, err)
 		}
@@ -250,8 +250,8 @@ func TestProfilerCapturesOnBreach(t *testing.T) {
 			bundles = append(bundles, d.Name())
 		}
 	}
-	if len(bundles) != 2 {
-		t.Errorf("profile dir holds %d bundles, want MaxCaptures=2: %v", len(bundles), bundles)
+	if len(bundles) != 4 {
+		t.Errorf("profile dir holds %d bundles, want 4: %v", len(bundles), bundles)
 	}
 	for _, b := range bundles {
 		if !strings.Contains(b, "manual") {

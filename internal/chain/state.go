@@ -225,12 +225,7 @@ func (s *State) DiscardJournal() { s.journal = s.journal[:0] }
 // admits no inclusion proofs: light clients prove receipts (light.go), not
 // state.
 func (s *State) Root() Hash {
-	q, v := mhash.Modulus(), s.den.Value()
-	v.ModInverse(v, q) // den is a product of units of the prime field
-	v.Mul(v, s.num.Value()).Mod(v, q)
-	var root Hash
-	v.FillBytes(root[:])
-	return root
+	return Hash(s.num.Div(s.den).Marshal()) // den is a product of units
 }
 
 // Clone deep-copies the state (used when a validator re-executes a proposed

@@ -2,7 +2,9 @@
 // constant-time comparison of secret-derived bytes (ctcompare), no weak
 // randomness near key material (weakrand), history-independent
 // serialization (maporder), no wall-clock reads in deterministic protocol
-// packages (wallclock) and no silently dropped errors (errdrop).
+// packages (wallclock), no silently dropped errors (errdrop), no key
+// material reaching logs, errors or responses (secrettaint), and guarded
+// fields, balanced locks and one lock order (lockdiscipline).
 //
 // Usage:
 //

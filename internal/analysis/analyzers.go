@@ -5,10 +5,9 @@ package analysis
 // ctcompare ↔ constant-time MAC/digest verification, weakrand ↔
 // forward-secure trapdoor randomness, maporder ↔ the history-independent
 // dictionary, wallclock ↔ deterministic replay and gas constancy, errdrop
-// ↔ no vacuously-succeeding verification; the flow-sensitive trio adds
-// secrettaint ↔ key-material confinement, lockdiscipline ↔ data-race
-// freedom of the shared server state, ackorder ↔ durable-before-ack
-// crash consistency.
+// ↔ no vacuously-succeeding verification; the flow-sensitive pair adds
+// secrettaint ↔ key-material confinement and lockdiscipline ↔ data-race
+// freedom of the shared server state.
 func All() []*Analyzer {
-	return []*Analyzer{CTCompare, WeakRand, MapOrder, WallClock, ErrDrop, SecretTaint, LockDiscipline, AckOrder}
+	return []*Analyzer{CTCompare, WeakRand, MapOrder, WallClock, ErrDrop, SecretTaint, LockDiscipline}
 }

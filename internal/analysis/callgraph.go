@@ -115,13 +115,3 @@ func (p *Program) Cached(key string, build func() any) any {
 	p.mu.Unlock()
 	return v
 }
-
-// Callee resolves a call expression in pkg to the program's node for the
-// invoked function (nil for builtins, conversions, function values and
-// functions outside the run).
-func (p *Program) Callee(pkg *Package, call *ast.CallExpr) *FuncNode {
-	if pkg.Info == nil {
-		return nil
-	}
-	return p.Func(calleeFunc(pkg.Info, call))
-}

@@ -1,13 +1,12 @@
 package analysis
 
 // Control-flow graphs for the flow-sensitive analyzers (secrettaint,
-// lockdiscipline, ackorder). The builder is hand-rolled over go/ast with no
+// lockdiscipline). The builder is hand-rolled over go/ast with no
 // dependency on golang.org/x/tools, the same zero-dependency discipline as
 // the rest of the framework: every function body is lowered to basic blocks
 // connected by kind-tagged edges (the true/false edges of a condition are
-// distinguishable, which the ackorder analyzer uses to recognize
-// `if jour == nil` guards). Type information is not required — the builder
-// runs on anything go/parser accepts, which is what FuzzCFGBuilder leans on.
+// distinguishable). Type information is not required — the builder runs on
+// anything go/parser accepts, which is what FuzzCFGBuilder leans on.
 
 import (
 	"fmt"
@@ -91,8 +90,6 @@ type CFG struct {
 	// lockdiscipline unlock balance) consult it; the graph itself treats
 	// defer as a normal statement.
 	Defers []*ast.DeferStmt
-
-	idom map[*Block]*Block // lazily computed immediate dominators
 }
 
 // BuildCFG lowers a function declaration's body to a CFG. Declarations
@@ -563,74 +560,6 @@ func (g *CFG) ReversePostorder() []*Block {
 		post[i], post[j] = post[j], post[i]
 	}
 	return post
-}
-
-// Idom returns the immediate-dominator map of the reachable blocks (the
-// entry block has no entry in the map). Computed once and cached.
-func (g *CFG) Idom() map[*Block]*Block {
-	if g.idom != nil {
-		return g.idom
-	}
-	rpo := g.ReversePostorder()
-	order := make(map[*Block]int, len(rpo))
-	for i, b := range rpo {
-		order[b] = i
-	}
-	idom := make(map[*Block]*Block, len(rpo))
-	idom[g.Entry] = g.Entry
-	intersect := func(a, b *Block) *Block {
-		for a != b {
-			for order[a] > order[b] {
-				a = idom[a]
-			}
-			for order[b] > order[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, blk := range rpo {
-			if blk == g.Entry {
-				continue
-			}
-			var newIdom *Block
-			for _, e := range blk.Preds {
-				if idom[e.From] == nil {
-					continue
-				}
-				if newIdom == nil {
-					newIdom = e.From
-				} else {
-					newIdom = intersect(newIdom, e.From)
-				}
-			}
-			if newIdom != nil && idom[blk] != newIdom {
-				idom[blk] = newIdom
-				changed = true
-			}
-		}
-	}
-	delete(idom, g.Entry)
-	g.idom = idom
-	return g.idom
-}
-
-// Dominates reports whether a dominates b (every path from entry to b
-// passes through a). A block dominates itself.
-func (g *CFG) Dominates(a, b *Block) bool {
-	if a == g.Entry || a == b {
-		return true
-	}
-	idom := g.Idom()
-	for b != nil && b != g.Entry {
-		b = idom[b]
-		if b == a {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders the graph in a canonical, position-independent text form

@@ -183,47 +183,6 @@ func TestCFGGoldens(t *testing.T) {
 	}
 }
 
-// TestCFGDominators pins the dominator relation the ackorder analyzer's
-// dominance rule rests on, using the for-loop golden: the loop header
-// dominates the body and the exit, the body does not dominate the exit.
-func TestCFGDominators(t *testing.T) {
-	g := parseFunc(t, cfgGoldens[2].src) // forloop
-	blk := func(i int) *Block {
-		for _, b := range g.Blocks {
-			if b.Index == i {
-				return b
-			}
-		}
-		t.Fatalf("no block b%d", i)
-		return nil
-	}
-	header, body, ret := blk(1), blk(2), blk(3)
-	for _, want := range []struct {
-		a, b *Block
-		dom  bool
-		desc string
-	}{
-		{g.Entry, g.Exit, true, "entry dominates exit"},
-		{header, body, true, "loop header dominates body"},
-		{header, ret, true, "loop header dominates the return"},
-		{header, g.Exit, true, "loop header dominates exit"},
-		{body, g.Exit, false, "loop body does not dominate exit"},
-		{body, header, false, "loop body does not dominate the header"},
-		{ret, header, false, "return does not dominate the header"},
-	} {
-		if got := g.Dominates(want.a, want.b); got != want.dom {
-			t.Errorf("%s: Dominates=%v, want %v", want.desc, got, want.dom)
-		}
-	}
-	idom := g.Idom()
-	if idom[g.Entry] != nil {
-		t.Error("entry block must have no immediate dominator")
-	}
-	if idom[body] != header {
-		t.Errorf("idom(body)=b%d, want the loop header b1", idom[body].Index)
-	}
-}
-
 // genIndexBit is the reaching-blocks problem: each block generates its own
 // index bit, so a block's In set names every block on some path to it.
 func genIndexBit(b *Block) *BitSet {

@@ -28,13 +28,6 @@ type FlowProblem[F any] interface {
 	Equal(a, b F) bool
 }
 
-// An EdgeRefiner optionally sharpens the fact flowing over a specific edge
-// — e.g. the ackorder analyzer marks the true edge of `if jour == nil` as
-// entering journal-free mode. Refine must not mutate the given fact.
-type EdgeRefiner[F any] interface {
-	Refine(e Edge, out F) F
-}
-
 // FlowResult carries the per-block fixpoint facts.
 type FlowResult[F any] struct {
 	In, Out map[*Block]F
@@ -47,7 +40,6 @@ const maxFlowIterations = 64
 // Forward runs p over g to a fixpoint and returns the per-block facts.
 func Forward[F any](g *CFG, p FlowProblem[F]) FlowResult[F] {
 	res := FlowResult[F]{In: make(map[*Block]F), Out: make(map[*Block]F)}
-	refiner, _ := p.(EdgeRefiner[F])
 	rpo := g.ReversePostorder()
 	res.In[g.Entry] = p.Boundary(g)
 	res.Out[g.Entry] = p.Transfer(g.Entry, res.In[g.Entry])
@@ -63,9 +55,6 @@ func Forward[F any](g *CFG, p FlowProblem[F]) FlowResult[F] {
 				out, ok := res.Out[e.From]
 				if !ok {
 					continue
-				}
-				if refiner != nil {
-					out = refiner.Refine(e, out)
 				}
 				if !have {
 					in, have = out, true
@@ -107,13 +96,6 @@ func (s *BitSet) Set(i int) {
 		s.words = append(s.words, 0)
 	}
 	s.words[w] |= 1 << (i % 64)
-}
-
-// Clear removes bit i.
-func (s *BitSet) Clear(i int) {
-	if w := i / 64; w < len(s.words) {
-		s.words[w] &^= 1 << (i % 64)
-	}
 }
 
 // Has reports whether bit i is present.

@@ -103,10 +103,6 @@ func TestLockDisciplineFixtures(t *testing.T) {
 	checkFixture(t, "lockdiscipline/order")
 }
 
-func TestAckOrderFixtures(t *testing.T) {
-	checkFixture(t, "ackorder/wire")
-}
-
 // TestFixtureExpectationsAreExercised guards the matcher itself: a
 // fixture whose want comment matches nothing must fail, and an
 // unexpected diagnostic must fail. Both are asserted by running the

@@ -147,10 +147,8 @@ func (cs *ChainServer) Close() error {
 	cs.mu.Lock()
 	jour := cs.jour
 	cs.mu.Unlock()
-	if jour != nil {
-		if jerr := jour.close(); err == nil {
-			err = jerr
-		}
+	if jerr := jour.close(); err == nil {
+		err = jerr
 	}
 	return err
 }
@@ -184,19 +182,14 @@ func (cs *ChainServer) handleStep(_ json.RawMessage, tr *obs.Trace) (any, error)
 		return nil, err
 	}
 	end()
-	if cs.jour != nil {
-		// Journal the sealed block before acknowledging the step: a
-		// restart replays it through full validation back to the same
-		// state and receipt roots. On journal failure the block exists
-		// only in memory, so the step is reported failed and the journal
-		// is fail-stop from here on.
-		rec, jerr := chain.EncodeBlock(block)
-		if jerr != nil {
-			return nil, fmt.Errorf("wire: block %d sealed but not journaled: %w", block.Header.Number, jerr)
-		}
-		if jerr := cs.jour.commit(rec, func() error { return nil }, cs.chainSnapshotStateLocked); jerr != nil {
-			return nil, fmt.Errorf("wire: block %d sealed but not journaled: %w", block.Header.Number, jerr)
-		}
+	// Journal the sealed block before acknowledging the step: a restart
+	// replays it through full validation back to the same state and
+	// receipt roots. On journal failure the block exists only in memory,
+	// so the step is reported failed and the journal is fail-stop from
+	// here on.
+	enc := func() ([]byte, error) { return chain.EncodeBlock(block) }
+	if err := cs.jour.commit(enc, func() error { return nil }, cs.chainSnapshotStateLocked); err != nil {
+		return nil, fmt.Errorf("wire: block %d sealed but not journaled: %w", block.Header.Number, err)
 	}
 	cs.blocks.Inc()
 	cs.txs.Add(uint64(len(block.Receipts)))

@@ -243,10 +243,8 @@ func (cs *CloudServer) Listen(addr string) (string, error) { return cs.srv.Liste
 // durability is enabled.
 func (cs *CloudServer) Close() error {
 	err := cs.srv.Close()
-	if j := cs.journal(); j != nil {
-		if jerr := j.close(); err == nil {
-			err = jerr
-		}
+	if jerr := cs.journal().close(); err == nil {
+		err = jerr
 	}
 	return err
 }
@@ -305,20 +303,11 @@ func (cs *CloudServer) handleInit(params json.RawMessage, _ *obs.Trace, m Meta) 
 	if err != nil {
 		return nil, err
 	}
-	jour := cs.journal()
-	if jour == nil {
-		if err := cs.install(cloud); err != nil {
-			return nil, err
-		}
-		cs.auditEvent(audit.KindInit, m, fmt.Sprintf("index %d entries, %d primes", cloud.IndexLen(), cloud.PrimeCount()))
-		return map[string]bool{"ok": true}, nil
-	}
 	// Refuse before journaling so a doomed re-init leaves no WAL record.
 	if _, err := cs.get(); err == nil {
 		return nil, errors.New("wire: cloud already initialized")
 	}
-	rec := append([]byte{cloudRecInit}, params...)
-	if err := jour.commit(rec, func() error { return cs.install(cloud) }, cs.cloudSnapshotState); err != nil {
+	if err := cs.journal().commit(cloudRecord(cloudRecInit, params), func() error { return cs.install(cloud) }, cs.cloudSnapshotState); err != nil {
 		return nil, err
 	}
 	cs.auditEvent(audit.KindInit, m, fmt.Sprintf("index %d entries, %d primes", cloud.IndexLen(), cloud.PrimeCount()))
@@ -362,19 +351,10 @@ func (cs *CloudServer) handleUpdate(params json.RawMessage, _ *obs.Trace, m Meta
 	if err != nil {
 		return nil, err
 	}
-	jour := cs.journal()
-	if jour == nil {
-		if err := cloud.ApplyUpdate(out); err != nil {
-			return nil, err
-		}
-		cs.auditEvent(audit.KindUpdate, m, fmt.Sprintf("+%d index entries", out.Index.Len()))
-		return map[string]bool{"ok": true}, nil
-	}
 	// Journal, then apply under the journal mutex: WAL order must equal
 	// apply order (the accumulation value is last-writer-wins), and the
 	// ack goes out only once the record is durable under the fsync policy.
-	rec := append([]byte{cloudRecUpdate}, params...)
-	if err := jour.commit(rec, func() error { return cloud.ApplyUpdate(out) }, cs.cloudSnapshotState); err != nil {
+	if err := cs.journal().commit(cloudRecord(cloudRecUpdate, params), func() error { return cloud.ApplyUpdate(out) }, cs.cloudSnapshotState); err != nil {
 		return nil, err
 	}
 	cs.auditEvent(audit.KindUpdate, m, fmt.Sprintf("+%d index entries", out.Index.Len()))

@@ -35,6 +35,11 @@ const (
 	cloudRecDelete byte = 4
 )
 
+// cloudRecord encodes one cloud WAL record for journal.commit.
+func cloudRecord(kind byte, params json.RawMessage) func() ([]byte, error) {
+	return func() ([]byte, error) { return append([]byte{kind}, params...), nil }
+}
+
 // DurabilityOptions configures a server's data directory.
 type DurabilityOptions struct {
 	// FS is the filesystem to persist into (nil: the real one). Tests
@@ -130,12 +135,20 @@ func openJournal(opts DurabilityOptions, next uint64) (*journal, error) {
 	return j, nil
 }
 
-// commit journals one record, applies it, and acknowledges only after both
-// — the WAL discipline. A record whose apply fails stays journaled: replay
-// fails it the same deterministic way and skips it. state provides the full
-// serialized state when a snapshot trigger fires; snapshot failures are
-// non-fatal (the WAL still covers everything).
-func (j *journal) commit(rec []byte, apply func() error, state func() ([]byte, error)) error {
+// commit journals the record enc encodes, applies it, and acknowledges only
+// after both — the WAL discipline. A record whose apply fails stays
+// journaled: replay fails it the same deterministic way and skips it. state
+// provides the full serialized state when a snapshot trigger fires;
+// snapshot failures are non-fatal (the WAL still covers everything). A nil
+// journal (no data directory) only applies, and never calls enc.
+func (j *journal) commit(enc func() ([]byte, error), apply func() error, state func() ([]byte, error)) error {
+	if j == nil {
+		return apply()
+	}
+	rec, err := enc()
+	if err != nil {
+		return fmt.Errorf("wire: journal encode: %w", err)
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	idx, err := j.log.Append(rec)
@@ -174,8 +187,11 @@ func (j *journal) snapshotLocked(idx uint64, state func() ([]byte, error)) {
 	}
 }
 
-// close syncs and closes the WAL.
+// close syncs and closes the WAL; closing a nil journal does nothing.
 func (j *journal) close() error {
+	if j == nil {
+		return nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.log.Sync(); err != nil {

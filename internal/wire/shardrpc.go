@@ -187,18 +187,9 @@ func (cs *CloudServer) handleImport(params json.RawMessage, _ *obs.Trace, m Meta
 	if err != nil {
 		return nil, err
 	}
-	jour := cs.journal()
-	if jour == nil {
-		if err := cloud.ImportEntries(entries); err != nil {
-			return nil, err
-		}
-		cs.auditEvent(audit.KindRebalance, m, fmt.Sprintf("imported %d entries", len(entries)))
-		return map[string]bool{"ok": true}, nil
-	}
 	// Journal-before-ack, exactly like init/update: an acknowledged page
 	// survives kill -9 and replays idempotently.
-	rec := append([]byte{cloudRecImport}, params...)
-	if err := jour.commit(rec, func() error { return cloud.ImportEntries(entries) }, cs.cloudSnapshotState); err != nil {
+	if err := cs.journal().commit(cloudRecord(cloudRecImport, params), func() error { return cloud.ImportEntries(entries) }, cs.cloudSnapshotState); err != nil {
 		return nil, err
 	}
 	cs.auditEvent(audit.KindRebalance, m, fmt.Sprintf("imported %d entries", len(entries)))
@@ -214,15 +205,8 @@ func (cs *CloudServer) handleDeleteRange(params json.RawMessage, _ *obs.Trace, m
 	if err := json.Unmarshal(params, &msg); err != nil {
 		return nil, err
 	}
-	jour := cs.journal()
-	if jour == nil {
-		removed := cloud.DeleteRange(msg.Lo, msg.Hi)
-		cs.auditEvent(audit.KindRebalance, m, fmt.Sprintf("deleted range: %d entries", removed))
-		return &DeleteRangeReply{Removed: removed}, nil
-	}
 	var removed int
-	rec := append([]byte{cloudRecDelete}, params...)
-	if err := jour.commit(rec, func() error { removed = cloud.DeleteRange(msg.Lo, msg.Hi); return nil }, cs.cloudSnapshotState); err != nil {
+	if err := cs.journal().commit(cloudRecord(cloudRecDelete, params), func() error { removed = cloud.DeleteRange(msg.Lo, msg.Hi); return nil }, cs.cloudSnapshotState); err != nil {
 		return nil, err
 	}
 	cs.auditEvent(audit.KindRebalance, m, fmt.Sprintf("deleted range: %d entries", removed))

@@ -10,9 +10,8 @@ import (
 // TestVetGatesOverWire runs the flow-sensitive analyzers as a library over
 // this package, mirroring the contract package's constant-time gate. Wire
 // is the trust boundary: secrettaint keeps key material out of RPC
-// responses and logs, lockdiscipline guards the shared server state the
-// handlers touch concurrently, and ackorder enforces the durability
-// contract — no success response without a dominating journal append.
+// responses and logs, and lockdiscipline guards the shared server state the
+// handlers touch concurrently.
 func TestVetGatesOverWire(t *testing.T) {
 	root, err := analysis.FindModuleRoot(".")
 	if err != nil {
@@ -35,7 +34,6 @@ func TestVetGatesOverWire(t *testing.T) {
 	diags := analysis.Run([]*analysis.Package{pkg}, []*analysis.Analyzer{
 		analysis.SecretTaint,
 		analysis.LockDiscipline,
-		analysis.AckOrder,
 	})
 	for _, d := range diags {
 		t.Errorf("slicer-vet gate violation in wire: %s", d)

@@ -66,39 +66,6 @@ func TestHashConcatInjectiveFraming(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	p := Hash([]byte("roundtrip"))
-	enc, err := Marshal(p)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	if len(enc) != PrimeBytes {
-		t.Errorf("encoded width %d, want %d", len(enc), PrimeBytes)
-	}
-	got, err := Unmarshal(enc)
-	if err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if got.Cmp(p) != 0 {
-		t.Error("round trip mismatch")
-	}
-}
-
-func TestUnmarshalRejectsComposite(t *testing.T) {
-	enc, err := Marshal(Hash([]byte("x")))
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	// Force even -> composite at this width.
-	enc[len(enc)-1] &^= 1
-	if _, err := Unmarshal(enc); err == nil {
-		t.Error("composite representative accepted")
-	}
-	if _, err := Unmarshal(enc[:PrimeBytes-1]); err == nil {
-		t.Error("short representative accepted")
-	}
-}
-
 // referenceProbe is the probe loop as specified and nothing more:
 // ProbablyPrime on every odd number from cand upward. No sieve, no word
 // filter, no memo.

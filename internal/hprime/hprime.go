@@ -22,12 +22,13 @@
 // division, its base-2 Miller–Rabin round (sprp2), its two rounds to bases
 // drawn from a math/rand source seeded with the low word, and its almost
 // extra strong Lucas test, all in Montgomery form. It replicates math/big
-// step for step, so every prime and every probe count (and so all gas) is
-// the one ProbablyPrime gives, on every input. A cold prime went from 166–178
-// µs, 99 allocations and 12.5 KB to 77–88 µs, 9 and 2.1 KB, at 42.61 probes
-// either way (BenchmarkHashCold, 2000 primes, 2 vCPUs). A Go release that
-// changed math/big's bases or its Lucas test would be caught by the oracle
-// tests, which compare each part with math/big, and by testdata/kat.golden.
+// part for part, so every prime and every probe count (and so all gas) is
+// the one ProbablyPrime gives, on every input. A cold prime went from
+// 134–191 µs, 99 allocations and 12.5 KB to 60–76 µs, 9 and 2.1 KB, at
+// 42.61 probes either way (BenchmarkHashCold, 2000 primes, five runs of each
+// binary alternated, 2-vCPU Xeon). A Go release that changed math/big's
+// bases or its Lucas test would be caught by the oracle tests, which compare
+// each part with math/big, and by testdata/kat.golden.
 package hprime
 
 import (
@@ -168,28 +169,34 @@ func fromWords(hi, lo uint64) *big.Int {
 }
 
 // sprp2 reports whether n = hi·2^64 + lo, odd and with bit 127 set, is a
-// strong probable prime to base 2: with n-1 = d·2^s and d odd, whether
-// 2^d = ±1 or 2^(d·2^r) = -1 (mod n) for some 0 < r < s. Every prime is; a
-// number that is not has been proven composite. It computes in Montgomery
-// form with R = 2^128 on machine words and allocates nothing.
+// strong probable prime to base 2. Every prime is; a number that is not has
+// been proven composite. It computes in Montgomery form with R = 2^128 on
+// machine words and allocates nothing.
 func sprp2(hi, lo uint64) bool {
 	n := newModulus(hi, lo)
+	// R mod n = 2^128 - n, because 2^127 <= n; and multiplying by the base 2
+	// is a doubling.
+	return n.strongProbablePrime(^hi, -lo, func(xHi, xLo uint64) (uint64, uint64) {
+		return n.reduce(xHi>>63, xHi<<1|xLo>>63, xLo<<1)
+	})
+}
 
-	// R mod n = 2^128 - n, because 2^127 <= n; n is odd, so no borrow.
-	oneHi, oneLo := ^hi, -lo
-	minusLo, borrow := bits.Sub64(lo, oneLo, 0)
-	minusHi, _ := bits.Sub64(hi, oneHi, borrow)
+// strongProbablePrime reports whether n is a strong probable prime to the
+// base b that timesBase multiplies by, in Montgomery form with one = R mod
+// n: with n-1 = d·2^s and d odd, whether b^d = ±1 or b^(d·2^r) = -1 (mod n)
+// for some 0 < r < s.
+func (n modulus) strongProbablePrime(oneHi, oneLo uint64, timesBase func(hi, lo uint64) (uint64, uint64)) bool {
+	minusHi, minusLo := n.sub(0, 0, oneHi, oneLo)
 
 	// Left to right over the bits of n-1 = hi·2^64 + (lo-1), stopping above
-	// its s trailing zeros: square, and double where the bit is set, since
-	// multiplying by the base 2 is a doubling.
-	eHi, eLo := hi, lo-1
+	// its s trailing zeros: square, and multiply by b where the bit is set.
+	eHi, eLo := n.hi, n.lo-1
 	s := trailingZeros(eHi, eLo)
 	xHi, xLo := oneHi, oneLo
 	for i := 127; i >= s; i-- {
 		xHi, xLo = n.square(xHi, xLo)
 		if eHi>>63 != 0 {
-			xHi, xLo = n.reduce(xHi>>63, xHi<<1|xLo>>63, xLo<<1)
+			xHi, xLo = timesBase(xHi, xLo)
 		}
 		eHi, eLo = eHi<<1|eLo>>63, eLo<<1
 	}
@@ -334,11 +341,12 @@ var baseRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }
 
 // probablyPrime reports whether n = hi·2^64 + lo, odd with bit 127 set, is
 // accepted by (*big.Int).ProbablyPrime(millerRabinRounds), which it
-// replicates step for step: trial division by the odd primes up to 53, a
-// Miller–Rabin round to each of millerRabinRounds bases drawn from a
-// math/rand source seeded with n's low word, one to base 2, and the almost
-// extra strong Lucas test. The answer is therefore the same on every input,
-// not merely on every input anyone has tried.
+// replicates part for part: trial division by the odd primes up to 53, a
+// Miller–Rabin round to base 2 and one to each of millerRabinRounds bases
+// drawn from a math/rand source seeded with n's low word, and the almost
+// extra strong Lucas test. n must pass every part, so the order (base 2
+// first, the cheapest rejection) does not matter, and the answer is the
+// same on every input, not merely on every input anyone has tried.
 func probablyPrime(hi, lo uint64) bool {
 	const oddPrimorial53 = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53
 	r := bits.Rem64(hi, lo, oddPrimorial53)
@@ -385,30 +393,11 @@ func millerRabinBases(hi, lo uint64) (bases [millerRabinRounds][2]uint64) {
 	return bases
 }
 
-// sprp reports whether n is a strong probable prime to the base x·R mod n:
-// sprp2 with a multiplication by the base in place of the doubling.
+// sprp reports whether n is a strong probable prime to the base x·R mod n.
 func (f field) sprp(xHi, xLo uint64) bool {
-	minusHi, minusLo := f.sub(0, 0, f.oneHi, f.oneLo)
-	eHi, eLo := f.hi, f.lo-1
-	s := trailingZeros(eHi, eLo)
-	aHi, aLo := f.oneHi, f.oneLo
-	for i := 127; i >= s; i-- {
-		aHi, aLo = f.square(aHi, aLo)
-		if eHi>>63 != 0 {
-			aHi, aLo = f.mul(aHi, aLo, xHi, xLo)
-		}
-		eHi, eLo = eHi<<1|eLo>>63, eLo<<1
-	}
-	if aHi == f.oneHi && aLo == f.oneLo || aHi == minusHi && aLo == minusLo {
-		return true
-	}
-	for ; s > 1; s-- {
-		aHi, aLo = f.square(aHi, aLo)
-		if aHi == minusHi && aLo == minusLo {
-			return true
-		}
-	}
-	return false
+	return f.strongProbablePrime(f.oneHi, f.oneLo, func(aHi, aLo uint64) (uint64, uint64) {
+		return f.mul(aHi, aLo, xHi, xLo)
+	})
 }
 
 // lucas is math/big's almost extra strong Lucas test on n, which is not

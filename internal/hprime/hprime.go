@@ -427,8 +427,8 @@ func (f field) lucas() bool {
 		}
 	}
 
-	// Left to right over the bits of n+1 = hi·2^64 + lo, stopping above its
-	// r trailing zeros, as sprp2 walks n-1: from k = 0 up to k = s.
+	// Left to right over the bits of n+1, stopping above its r trailing
+	// zeros, as strongProbablePrime walks n-1: from k = 0 up to k = s.
 	eLo, c := bits.Add64(f.lo, 1, 0)
 	eHi := f.hi + c
 	r := trailingZeros(eHi, eLo)
@@ -469,8 +469,8 @@ func (f field) lucas() bool {
 }
 
 // jacobi returns the Jacobi symbol (a/n) for a > 0 and the odd n =
-// hi·2^64 + lo. The first reciprocity step brings n below a, so the rest
-// runs on single words.
+// hi·2^64 + lo. After the first reciprocity step the symbol is
+// ((n mod a)/a), so the rest runs on single words.
 func jacobi(a, hi, lo uint64) int {
 	j := 1
 	for a%2 == 0 { // (2/n) = -1 exactly when n ≡ 3, 5 mod 8

@@ -31,9 +31,9 @@ func chernick(d uint64) *big.Int {
 	return n.Mul(n, new(big.Int).SetUint64(18*m+1))
 }
 
-// strongProbablePrime is the oracle for sprp, in math/big: whether n is a
+// strongProbablePrimeBig is the oracle for sprp, in math/big: whether n is a
 // strong probable prime to base a.
-func strongProbablePrime(n, a *big.Int) bool {
+func strongProbablePrimeBig(n, a *big.Int) bool {
 	one := big.NewInt(1)
 	minus := new(big.Int).Sub(n, one)
 	s := minus.TrailingZeroBits()
@@ -100,7 +100,7 @@ func TestSprpMatchesBigOracle(t *testing.T) {
 			bases = append(bases, a.Add(a, big.NewInt(2)))
 		}
 		for _, a := range bases {
-			if got, want := f.sprp(f.toMont(toWords(a))), strongProbablePrime(n, a); got != want {
+			if got, want := f.sprp(f.toMont(toWords(a))), strongProbablePrimeBig(n, a); got != want {
 				t.Fatalf("sprp(%v) to base %v = %v, math/big says %v", n, a, got, want)
 			}
 		}

@@ -8,7 +8,7 @@
 //	slicer-chain -listen 0.0.0.0:7402 -validators 3 -fund owner,user,cloud -data-dir /var/lib/slicer-chain
 //
 // With -data-dir every sealed block is journaled to a write-ahead log
-// before the step is acknowledged and the chain is periodically folded
+// before a mine is acknowledged and the chain is periodically folded
 // into an atomic snapshot; a restart (crash included) replays blocks
 // through full validation back to the exact state and receipt roots.
 package main
@@ -35,11 +35,10 @@ func main() {
 
 func run() error {
 	d := daemon.New("slicer-chain", "127.0.0.1:7402", "durable data directory: block WAL + snapshots, crash-safe recovery at boot")
-	d.Journaled(`latency objectives, e.g. "name=submit,metric=rpc:submit,target=500ms,good=0.99,window=2m;..." or @objectives.conf`,
+	d.Journaled(`latency objectives, e.g. "name=mine,metric=rpc:mine,target=500ms,good=0.99,window=2m;..." or @objectives.conf`,
 		wire.SLOAliases("chain",
-			wire.MethodChainSubmit, wire.MethodChainStep, wire.MethodChainReceipt,
-			wire.MethodChainBalance, wire.MethodChainNonce, wire.MethodChainCall,
-			wire.MethodChainHeight))
+			wire.MethodChainMine, wire.MethodChainBalance, wire.MethodChainNonce,
+			wire.MethodChainCall, wire.MethodChainHeight))
 	validators := flag.Int("validators", 3, "number of PoA validators")
 	fund := flag.String("fund", "owner,user,cloud", "comma-separated account names to pre-fund")
 	balance := flag.Uint64("balance", 1<<40, "genesis balance per funded account")

@@ -14,9 +14,7 @@ import (
 
 // Chain RPC methods.
 const (
-	MethodChainSubmit  = "chain.submit"
-	MethodChainStep    = "chain.step"
-	MethodChainReceipt = "chain.receipt"
+	MethodChainMine    = "chain.mine"
 	MethodChainBalance = "chain.balance"
 	MethodChainNonce   = "chain.nonce"
 	MethodChainCall    = "chain.call"
@@ -49,8 +47,9 @@ type CallResult struct {
 
 // ChainServer exposes one blockchain node over RPC. In a real deployment
 // every validator runs one; clients may talk to any of them. For the
-// in-process network behind a single server, MethodChainStep seals on the
-// scheduled proposer and propagates to all nodes.
+// in-process network behind a single server, MethodChainMine admits a
+// transaction, seals the block that carries it on the scheduled proposer,
+// propagates it to all nodes and answers with the transaction's receipt.
 type ChainServer struct {
 	mu      sync.Mutex
 	network *chain.Network
@@ -73,9 +72,7 @@ type ChainServer struct {
 func NewChainServer(network *chain.Network) *ChainServer {
 	cs := &ChainServer{network: network, srv: NewServer(), started: time.Now()}
 	cs.srv.SetTraceStore(obs.NewTraceStore())
-	cs.srv.HandleTraced(MethodChainSubmit, cs.handleSubmit)
-	cs.srv.HandleTraced(MethodChainStep, cs.handleStep)
-	cs.srv.Handle(MethodChainReceipt, cs.handleReceipt)
+	cs.srv.HandleTraced(MethodChainMine, cs.handleMine)
 	cs.srv.Handle(MethodChainBalance, cs.handleBalance)
 	cs.srv.Handle(MethodChainNonce, cs.handleNonce)
 	cs.srv.Handle(MethodChainCall, cs.handleCall)
@@ -153,9 +150,13 @@ func (cs *ChainServer) Close() error {
 	return err
 }
 
-// handleSubmit records the pool-admission phase into the propagated trace
-// (nil for context-free callers).
-func (cs *ChainServer) handleSubmit(params json.RawMessage, tr *obs.Trace) (any, error) {
+// handleMine admits one transaction, seals the block that carries it and
+// returns its receipt, all under one hold of cs.mu, so concurrent miners
+// never seal each other's transactions or empty blocks. Admission and
+// sealing record the chain.submit and chain.seal phases into the
+// propagated trace (nil for context-free callers). A failed admission
+// seals nothing.
+func (cs *ChainServer) handleMine(params json.RawMessage, tr *obs.Trace) (any, error) {
 	var tx chain.Transaction
 	if err := json.Unmarshal(params, &tx); err != nil {
 		return nil, err
@@ -167,29 +168,41 @@ func (cs *ChainServer) handleSubmit(params json.RawMessage, tr *obs.Trace) (any,
 		return nil, err
 	}
 	end()
-	h := tx.Hash()
-	return h[:], nil
+	if err := cs.stepLocked(tr); err != nil {
+		return nil, err
+	}
+	r, ok := cs.network.Leader().Receipt(tx.Hash())
+	if !ok {
+		return nil, fmt.Errorf("wire: transaction %s missing from its sealed block", tx.Hash())
+	}
+	return &ReceiptMsg{
+		Found:           true,
+		Status:          r.Status,
+		GasUsed:         r.GasUsed,
+		ContractAddress: r.ContractAddress,
+		ReturnData:      r.ReturnData,
+		Err:             r.Err,
+	}, nil
 }
 
-// handleStep records the block-sealing phase — which includes the
-// contract's on-chain result verification — into the propagated trace.
-func (cs *ChainServer) handleStep(_ json.RawMessage, tr *obs.Trace) (any, error) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+// stepLocked seals the next block and records the block-sealing phase —
+// which includes the contract's on-chain result verification — into tr.
+// The caller holds cs.mu.
+func (cs *ChainServer) stepLocked(tr *obs.Trace) error {
 	end := obs.StartPhase(cs.sealDur, tr, "chain.seal")
 	block, err := cs.network.Step()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	end()
-	// Journal the sealed block before acknowledging the step: a restart
+	// Journal the sealed block before acknowledging the mine: a restart
 	// replays it through full validation back to the same state and
 	// receipt roots. On journal failure the block exists only in memory,
-	// so the step is reported failed and the journal is fail-stop from
+	// so the mine is reported failed and the journal is fail-stop from
 	// here on.
 	enc := func() ([]byte, error) { return chain.EncodeBlock(block) }
 	if err := cs.jour.commit(enc, func() error { return nil }, cs.chainSnapshotStateLocked); err != nil {
-		return nil, fmt.Errorf("wire: block %d sealed but not journaled: %w", block.Header.Number, err)
+		return fmt.Errorf("wire: block %d sealed but not journaled: %w", block.Header.Number, err)
 	}
 	cs.blocks.Inc()
 	cs.txs.Add(uint64(len(block.Receipts)))
@@ -210,30 +223,7 @@ func (cs *ChainServer) handleStep(_ json.RawMessage, tr *obs.Trace) (any, error)
 				block.Header.Number, len(block.Receipts), reverted),
 		})
 	}
-	return map[string]uint64{"number": block.Header.Number}, nil
-}
-
-func (cs *ChainServer) handleReceipt(params json.RawMessage) (any, error) {
-	var h chain.Hash
-	var raw []byte
-	if err := json.Unmarshal(params, &raw); err != nil {
-		return nil, err
-	}
-	copy(h[:], raw)
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	r, ok := cs.network.Leader().Receipt(h)
-	if !ok {
-		return &ReceiptMsg{Found: false}, nil
-	}
-	return &ReceiptMsg{
-		Found:           true,
-		Status:          r.Status,
-		GasUsed:         r.GasUsed,
-		ContractAddress: r.ContractAddress,
-		ReturnData:      r.ReturnData,
-		Err:             r.Err,
-	}, nil
+	return nil
 }
 
 func (cs *ChainServer) handleBalance(params json.RawMessage) (any, error) {
@@ -298,64 +288,21 @@ func DialChainOpts(addr string, opts ClientOptions) (*ChainClient, error) {
 // Client exposes the underlying RPC client for transport tuning.
 func (cc *ChainClient) Client() *Client { return cc.c }
 
-// Submit queues a transaction and returns its hash.
-func (cc *ChainClient) Submit(tx *chain.Transaction) (chain.Hash, error) {
-	return cc.SubmitTraced(tx, nil)
-}
-
-// SubmitTraced is Submit with the chain's admission span spliced into tr
-// (party "chain"); a nil trace makes it exactly Submit.
-func (cc *ChainClient) SubmitTraced(tx *chain.Transaction, tr *obs.Trace) (chain.Hash, error) {
-	var raw []byte
-	if err := cc.c.CallTraced(MethodChainSubmit, tx, &raw, tr, "chain"); err != nil {
-		return chain.Hash{}, err
-	}
-	var h chain.Hash
-	copy(h[:], raw)
-	return h, nil
-}
-
-// Step asks the network to seal the next block.
-func (cc *ChainClient) Step() (uint64, error) {
-	return cc.StepTraced(nil)
-}
-
-// StepTraced is Step with the chain's sealing span (which includes on-chain
-// verification) spliced into tr; a nil trace makes it exactly Step.
-func (cc *ChainClient) StepTraced(tr *obs.Trace) (uint64, error) {
-	var out map[string]uint64
-	if err := cc.c.CallTraced(MethodChainStep, nil, &out, tr, "chain"); err != nil {
-		return 0, err
-	}
-	return out["number"], nil
-}
-
-// Receipt fetches a receipt by transaction hash.
-func (cc *ChainClient) Receipt(h chain.Hash) (*ReceiptMsg, error) {
-	var r ReceiptMsg
-	if err := cc.c.Call(MethodChainReceipt, h[:], &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// Mine submits a transaction, seals a block and returns the receipt.
+// Mine submits a transaction, seals the block that carries it and returns
+// the transaction's receipt, in one round trip.
 func (cc *ChainClient) Mine(tx *chain.Transaction) (*ReceiptMsg, error) {
 	return cc.MineTraced(tx, nil)
 }
 
 // MineTraced is Mine with the chain's submit and seal phases — and the wire
-// time of both round trips — spliced into tr; a nil trace makes it exactly
-// Mine.
+// time of the round trip — spliced into tr (party "chain"); a nil trace
+// makes it exactly Mine.
 func (cc *ChainClient) MineTraced(tx *chain.Transaction, tr *obs.Trace) (*ReceiptMsg, error) {
-	h, err := cc.SubmitTraced(tx, tr)
-	if err != nil {
+	var r ReceiptMsg
+	if err := cc.c.CallTraced(MethodChainMine, tx, &r, tr, "chain"); err != nil {
 		return nil, err
 	}
-	if _, err := cc.StepTraced(tr); err != nil {
-		return nil, err
-	}
-	return cc.Receipt(h)
+	return &r, nil
 }
 
 // Balance reads an account balance.

@@ -164,10 +164,9 @@ func TestAckedWritesSurviveCrashAtEveryWrite(t *testing.T) {
 
 	alice := chain.AddressFromString("alice")
 	bob := chain.AddressFromString("bob")
-	transfer := func(nonce uint64) rpc {
-		return rpc{MethodChainSubmit, mustParams(t, &chain.Transaction{From: alice, To: bob, Nonce: nonce, Value: 100, GasLimit: 100_000})}
+	mine := func(nonce uint64) rpc {
+		return rpc{MethodChainMine, mustParams(t, &chain.Transaction{From: alice, To: bob, Nonce: nonce, Value: 100, GasLimit: 100_000})}
 	}
-	step := rpc{MethodChainStep, nil}
 	bootChain := func(fsys durable.FS) (*Server, func() string, error) {
 		network, err := chain.NewNetwork(chain.NewRegistry(),
 			[]chain.Address{chain.AddressFromString("v0"), chain.AddressFromString("v1")},
@@ -195,7 +194,7 @@ func TestAckedWritesSurviveCrashAtEveryWrite(t *testing.T) {
 			})}},
 		{name: "cloud.deleteRange", boot: bootCloud, prep: []rpc{initReq},
 			call: rpc{MethodCloudDelete, mustParams(t, &DeleteRangeMsg{Lo: store.Addr(victim), Hi: store.Addr(victim) + 1})}},
-		{name: "chain.step", boot: bootChain, prep: []rpc{transfer(0), step, transfer(1)}, call: step},
+		{name: "chain.mine", boot: bootChain, prep: []rpc{mine(0)}, call: mine(1)},
 	} {
 		t.Run(c.name, func(t *testing.T) { sweepCrashPoints(t, c) })
 	}

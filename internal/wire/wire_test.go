@@ -404,11 +404,4 @@ func TestChainServerFullProtocol(t *testing.T) {
 	if err != nil || h != 1 {
 		t.Errorf("Height = %d, %v", h, err)
 	}
-	missing, err := cli.Receipt(chain.HashBytes([]byte("nothing")))
-	if err != nil {
-		t.Fatalf("Receipt: %v", err)
-	}
-	if missing.Found {
-		t.Error("missing receipt reported found")
-	}
 }

@@ -337,7 +337,7 @@ func TestDistributedTracePropagation(t *testing.T) {
 			t.Errorf("phase %q duration = %v, want > 0", phase, sp.Duration)
 		}
 	}
-	for _, derived := range []string{"rpc:cloud.search", "wire:cloud.search", "wire:chain.step"} {
+	for _, derived := range []string{"rpc:cloud.search", "wire:cloud.search", "wire:chain.mine"} {
 		if _, ok := byPhase[derived]; !ok {
 			t.Errorf("derived span %q missing from merged trace", derived)
 		}

@@ -230,20 +230,15 @@ func BenchmarkVOOrder(b *testing.B) {
 }
 
 // BenchmarkSearchParallel is the serial-vs-parallel pipeline ablation: one
-// full Algorithm-4 search (results + VO) at growing worker counts. Order
-// queries fan their b independent tokens across the pool and scale with
-// cores; equality queries carry a single token and pin the fan-out overhead
-// floor. Responses are byte-identical at every worker count (see
-// TestParallelSearchDeterminism), so the sub-benchmarks isolate pure
-// scheduling. On a single-core host the ratios collapse to ~1x — the
-// per-token modexp work only spreads when GOMAXPROCS > 1.
+// full Algorithm-4 search (results + VO). The cloud fans tokens across
+// GOMAXPROCS workers, so sweep the width with -cpu (e.g. -cpu 1,2,4,8).
+// Order queries fan their b independent tokens and scale with cores;
+// equality queries carry a single token and pin the fan-out overhead floor.
+// Responses are byte-identical at every width (see
+// TestParallelSearchDeterminism), so the runs isolate pure scheduling. On a
+// single-core host the ratios collapse to ~1x.
 func BenchmarkSearchParallel(b *testing.B) {
 	env := getEnv(b, 16)
-	defer func() {
-		if err := env.cloud.SetSearchWorkers(0); err != nil {
-			b.Fatal(err)
-		}
-	}()
 	queries := []struct {
 		name string
 		q    core.Query
@@ -256,26 +251,19 @@ func BenchmarkSearchParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", qc.name, workers), func(b *testing.B) {
-				if err := env.cloud.SetSearchWorkers(workers); err != nil {
+		b.Run(qc.name, func(b *testing.B) {
+			b.ReportMetric(float64(len(req.Tokens)), "tokens")
+			for i := 0; i < b.N; i++ {
+				if _, err := env.cloud.Search(req); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(len(req.Tokens)), "tokens")
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := env.cloud.Search(req); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // BenchmarkVerificationParallel is the verifier-side half of the parallel
-// ablation: Algorithm 5 over a multi-token order response at growing worker
-// counts.
+// ablation: Algorithm 5 over a multi-token order response, swept with -cpu.
 func BenchmarkVerificationParallel(b *testing.B) {
 	env := getEnv(b, 16)
 	req, err := env.user.Token(core.Less((uint64(1)<<16 - 1) / 3 * 2))
@@ -287,14 +275,11 @@ func BenchmarkVerificationParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	pp, ac := env.owner.AccumulatorPub(), env.owner.Ac()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := core.VerifyResponseWorkers(pp, ac, req, resp, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := core.VerifyResponse(pp, ac, req, resp); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

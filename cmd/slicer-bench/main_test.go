@@ -64,8 +64,8 @@ func TestHelpGolden(t *testing.T) {
 
 func TestListExits0(t *testing.T) {
 	code, stdout, stderr := runBin(t, "-list")
-	if lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n"); code != 0 || len(lines) != 27 {
-		t.Fatalf("-list: exit %d with %d lines, want 0 with 27 experiment IDs\nstdout: %s\nstderr: %s", code, len(lines), stdout, stderr)
+	if lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n"); code != 0 || len(lines) != 26 {
+		t.Fatalf("-list: exit %d with %d lines, want 0 with 26 experiment IDs\nstdout: %s\nstderr: %s", code, len(lines), stdout, stderr)
 	}
 }
 

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/big"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -404,70 +401,6 @@ func (r *Runner) AblationVOvsMerkle() (*Table, error) {
 			fmt.Sprintf("%dB", len(proof.Siblings)*32), fmt.Sprint(merkleVerify))
 	}
 	t.AddNote("the accumulator VO is constant size and leaks nothing about the rest of X; the Merkle proof grows with log|X| and reveals sibling digests")
-	return t, nil
-}
-
-// AblationParallelSearch measures the parallel search & verification
-// pipeline: the same multi-token order query answered (Algorithm 4) and
-// verified (Algorithm 5) at growing worker counts. Every parallel response
-// is asserted byte-identical to the serial one, so the table isolates pure
-// scheduling gains. Speedup is bounded by GOMAXPROCS — on a single-core
-// host all rows collapse to ~1x.
-func (r *Runner) AblationParallelSearch() (*Table, error) {
-	r.progress("ablation: serial vs parallel search pipeline ...")
-	const bits = 16
-	d, err := r.ensure(bits, r.scale.Counts[0])
-	if err != nil {
-		return nil, err
-	}
-	req, err := d.user.Token(core.Query{Op: core.OpLess, Value: (uint64(1)<<bits - 1) / 3 * 2})
-	if err != nil {
-		return nil, err
-	}
-	defer d.cloud.SetSearchWorkers(0) // the deployment is shared across experiments
-	pp, ac := d.owner.AccumulatorPub(), d.owner.Ac()
-	t := &Table{
-		ID:    "ablation-parallel-search",
-		Title: "Serial vs parallel search & verification pipeline (16-bit order query)",
-		Headers: []string{"workers", "search (Alg 4)", "verify (Alg 5)",
-			"search speedup"},
-	}
-	const reps = 3
-	var baseline time.Duration
-	var serialRaw []byte
-	for _, workers := range []int{1, 2, 4, 8} {
-		if err := d.cloud.SetSearchWorkers(workers); err != nil {
-			return nil, err
-		}
-		var resp *core.SearchResponse
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if resp, err = d.cloud.Search(req); err != nil {
-				return nil, err
-			}
-		}
-		searchTime := time.Since(start) / reps
-		raw, err := json.Marshal(resp)
-		if err != nil {
-			return nil, err
-		}
-		if workers == 1 {
-			baseline = searchTime
-			serialRaw = raw
-		} else if !bytes.Equal(raw, serialRaw) {
-			return nil, fmt.Errorf("bench: workers=%d response differs from serial", workers)
-		}
-		start = time.Now()
-		for i := 0; i < reps; i++ {
-			if err := core.VerifyResponseWorkers(pp, ac, req, resp, workers); err != nil {
-				return nil, err
-			}
-		}
-		verifyTime := time.Since(start) / reps
-		t.AddRow(strconv.Itoa(workers), fmt.Sprint(searchTime), fmt.Sprint(verifyTime),
-			fmt.Sprintf("%.2fx", float64(baseline)/float64(searchTime)))
-	}
-	t.AddNote("%d tokens fanned per request; responses byte-identical across worker counts; GOMAXPROCS=%d on this host", len(req.Tokens), runtime.GOMAXPROCS(0))
 	return t, nil
 }
 

@@ -37,7 +37,6 @@ func Experiments() []Experiment {
 		{"ablation-accumulator", "Accumulator update strategies", (*Runner).AblationAccumulator},
 		{"ablation-witness", "Witness generation strategies", (*Runner).AblationWitness},
 		{"ablation-fastpath", "Big-number fast paths: aggregation, comb, witness tree", (*Runner).AblationFastpath},
-		{"ablation-parallel-search", "Serial vs parallel search & verification pipeline", (*Runner).AblationParallelSearch},
 		{"ablation-vo-merkle", "Accumulator VO vs Merkle proof", (*Runner).AblationVOvsMerkle},
 		{"ablation-durability", "WAL fsync overhead & cold-start recovery", (*Runner).AblationDurability},
 		{"ablation-observability", "Telemetry layer: windowed quantiles & overhead", (*Runner).AblationObservability},

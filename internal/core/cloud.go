@@ -43,7 +43,7 @@ const (
 // AttachWitnesses, Marshal and the stats accessors take a read lock, so any
 // number of users can query simultaneously; ApplyUpdate takes the write
 // lock and observes a quiescent index. Within one request, per-token work
-// additionally fans out across a bounded worker pool (SearchWorkers).
+// additionally fans out across one worker per core.
 type Cloud struct {
 	mu     sync.RWMutex
 	params Params
@@ -64,7 +64,6 @@ type Cloud struct {
 	mode          WitnessMode
 	wtree         *accumulator.WitnessTree // on-demand mode: memoized RootFactor tree
 	fbG           *accumulator.FixedBase   // comb over g feeding successive wtrees
-	workers       int                      // per-request token fan-out; 0 = GOMAXPROCS, 1 = serial
 	met           cloudMetrics
 
 	searchCalls atomic.Uint64 // Search invocations, for round-trip accounting
@@ -147,19 +146,6 @@ func NewCloud(st *CloudState, mode WitnessMode) (*Cloud, error) {
 		c.resetTree()
 	}
 	return c, nil
-}
-
-// SetSearchWorkers retunes the per-request token fan-out at runtime: 0 uses
-// one worker per available core, 1 reproduces the serial pipeline exactly.
-// Responses are byte-identical at every setting.
-func (c *Cloud) SetSearchWorkers(n int) error {
-	if n < 0 {
-		return fmt.Errorf("core: search workers must be >= 0, got %d", n)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.workers = n
-	return nil
 }
 
 // SearchCalls reports how many Search requests the cloud has served — one
@@ -339,22 +325,12 @@ func (c *Cloud) ADSSizeBytes() int {
 	return total
 }
 
-// tokenWorkers resolves the fan-out for an n-token request. Must be called
-// with the lock held (read or write).
-func (c *Cloud) tokenWorkers(n int) int {
-	w := EffectiveWorkers(c.workers)
-	if w > n {
-		w = n
-	}
-	return w
-}
-
 // Search runs Algorithm 4 for every token in the request: walk the trapdoor
 // chain from the newest epoch backwards (via π_pk), drain each epoch's
 // counter sequence from the index, then build the verification object.
 // Tokens are independent keyword searches (one per SORE slice), so they fan
-// out across the worker pool; results keep the request's token order and a
-// failing request reports the first (lowest-index) token error.
+// out across one worker per core; results keep the request's token order
+// and a failing request reports the first (lowest-index) token error.
 func (c *Cloud) Search(req *SearchRequest) (*SearchResponse, error) {
 	return c.SearchTraced(req, nil)
 }
@@ -371,7 +347,7 @@ func (c *Cloud) SearchTraced(req *SearchRequest, tr *obs.Trace) (*SearchResponse
 	c.met.tokens.Add(uint64(len(req.Tokens)))
 	t0 := c.met.search.Start()
 	results := make([]TokenResult, len(req.Tokens))
-	err := ForEachIndexed(len(req.Tokens), c.tokenWorkers(len(req.Tokens)), func(i int) error {
+	err := ForEachIndexed(len(req.Tokens), runtime.GOMAXPROCS(0), func(i int) error {
 		res, err := c.searchToken(req.Tokens[i], tr)
 		if err != nil {
 			return err
@@ -394,7 +370,7 @@ func (c *Cloud) SearchResults(req *SearchRequest) (*SearchResponse, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	results := make([]TokenResult, len(req.Tokens))
-	err := ForEachIndexed(len(req.Tokens), c.tokenWorkers(len(req.Tokens)), func(i int) error {
+	err := ForEachIndexed(len(req.Tokens), runtime.GOMAXPROCS(0), func(i int) error {
 		t0 := c.met.collect.Start()
 		er, err := c.collectResults(req.Tokens[i])
 		if err != nil {
@@ -412,11 +388,11 @@ func (c *Cloud) SearchResults(req *SearchRequest) (*SearchResponse, error) {
 }
 
 // AttachWitnesses fills in the verification objects for a response produced
-// by SearchResults, one token at a time across the worker pool.
+// by SearchResults, one token per worker, one worker per core.
 func (c *Cloud) AttachWitnesses(resp *SearchResponse) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return ForEachIndexed(len(resp.Results), c.tokenWorkers(len(resp.Results)), func(i int) error {
+	return ForEachIndexed(len(resp.Results), runtime.GOMAXPROCS(0), func(i int) error {
 		t0 := c.met.witness.Start()
 		vo, err := c.witnessFor(resp.Results[i].Token, resp.Results[i].ER)
 		if err != nil {

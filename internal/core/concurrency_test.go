@@ -4,9 +4,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
+
+// withProcs sets GOMAXPROCS to n for the rest of the test, which sets the
+// width of every fan-out sized by the machine.
+func withProcs(t testing.TB, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // orderQuery returns a multi-token order query over the test deployment's
 // domain: roughly half the bits set, so the SORE decomposition yields
@@ -17,9 +27,9 @@ func orderQuery(bits int) Query {
 }
 
 // TestParallelSearchDeterminism asserts the parallel pipeline is
-// byte-identical to the serial one: the same request searched with
-// workers=1 and workers=8 (and verified with both fan-outs) produces the
-// same marshaled response.
+// byte-identical to the serial one: the same request searched at
+// GOMAXPROCS 1 and 8 (and verified at both) produces the same marshaled
+// response.
 func TestParallelSearchDeterminism(t *testing.T) {
 	db := make([]Record, 0, 64)
 	for i := uint64(0); i < 64; i++ {
@@ -31,16 +41,16 @@ func TestParallelSearchDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Token(%+v): %v", q, err)
 		}
-		if err := d.cloud.SetSearchWorkers(1); err != nil {
-			t.Fatal(err)
-		}
+		withProcs(t, 1)
 		serial, err := d.cloud.Search(req)
 		if err != nil {
 			t.Fatalf("serial Search: %v", err)
 		}
-		if err := d.cloud.SetSearchWorkers(8); err != nil {
-			t.Fatal(err)
+		pp, ac := d.owner.AccumulatorPub(), d.owner.Ac()
+		if err := VerifyResponse(pp, ac, req, serial); err != nil {
+			t.Fatalf("serial verify: %v", err)
 		}
+		withProcs(t, 8)
 		parallel, err := d.cloud.Search(req)
 		if err != nil {
 			t.Fatalf("parallel Search: %v", err)
@@ -71,21 +81,19 @@ func TestParallelSearchDeterminism(t *testing.T) {
 		if string(qb) != string(sb) {
 			t.Fatalf("split pipeline response differs from serial for %+v", q)
 		}
-		pp, ac := d.owner.AccumulatorPub(), d.owner.Ac()
-		if err := VerifyResponseWorkers(pp, ac, req, parallel, 1); err != nil {
-			t.Fatalf("serial verify: %v", err)
-		}
-		if err := VerifyResponseWorkers(pp, ac, req, parallel, 8); err != nil {
+		if err := VerifyResponse(pp, ac, req, parallel); err != nil {
 			t.Fatalf("parallel verify: %v", err)
 		}
 	}
 }
 
 // TestParallelSearchFirstError asserts the parallel pipeline reports the
-// same (lowest-index) token error a serial sweep would, regardless of
-// worker count.
+// same (lowest-index) token error a serial sweep would, at any GOMAXPROCS.
 func TestParallelSearchFirstError(t *testing.T) {
-	db := []Record{NewRecord(1, 10), NewRecord(2, 20), NewRecord(3, 30)}
+	db := make([]Record, 0, 64)
+	for i := uint64(0); i < 64; i++ {
+		db = append(db, NewRecord(i+1, (i*7)%256))
+	}
 	d := deploy(t, 8, db, WitnessCached)
 	req, err := d.user.Token(orderQuery(8))
 	if err != nil {
@@ -103,22 +111,18 @@ func TestParallelSearchFirstError(t *testing.T) {
 		bad.Tokens[i] = tok
 	}
 	var serialErr error
-	if err := d.cloud.SetSearchWorkers(1); err != nil {
-		t.Fatal(err)
-	}
+	withProcs(t, 1)
 	if _, serialErr = d.cloud.Search(&bad); serialErr == nil {
 		t.Fatal("serial search of corrupted request succeeded")
 	}
-	for _, workers := range []int{2, 8} {
-		if err := d.cloud.SetSearchWorkers(workers); err != nil {
-			t.Fatal(err)
-		}
+	for _, procs := range []int{2, 8} {
+		withProcs(t, procs)
 		_, err := d.cloud.Search(&bad)
 		if err == nil {
-			t.Fatalf("workers=%d: corrupted request succeeded", workers)
+			t.Fatalf("GOMAXPROCS=%d: corrupted request succeeded", procs)
 		}
 		if err.Error() != serialErr.Error() {
-			t.Fatalf("workers=%d error %q, serial error %q", workers, err, serialErr)
+			t.Fatalf("GOMAXPROCS=%d error %q, serial error %q", procs, err, serialErr)
 		}
 	}
 }
@@ -261,32 +265,15 @@ func TestApplyUpdateWitnessMaintenance(t *testing.T) {
 	d.search(t, Equal(db[0].Attrs[0].Value))
 }
 
-// TestSetSearchWorkersValidation covers the knob's bounds: a negative count
-// is refused and leaves the configured fan-out as it was.
-func TestSetSearchWorkersValidation(t *testing.T) {
-	d := deploy(t, 8, []Record{NewRecord(1, 1)}, WitnessCached)
-	if err := d.cloud.SetSearchWorkers(2); err != nil {
-		t.Fatalf("SetSearchWorkers(2): %v", err)
-	}
-	if err := d.cloud.SetSearchWorkers(-1); err == nil {
-		t.Fatal("negative worker count accepted")
-	}
-	if d.cloud.workers != 2 {
-		t.Fatalf("workers = %d after a refused update, want 2", d.cloud.workers)
-	}
-	if err := d.cloud.SetSearchWorkers(0); err != nil {
-		t.Fatalf("SetSearchWorkers(0): %v", err)
-	}
-	d.search(t, Equal(1))
-}
-
 // TestForEachIndexedFirstError pins the helper's deterministic error
 // selection directly: with several failing indices, the lowest wins at any
-// worker count, and lower indices are never skipped.
+// worker count, and with more than one worker every index still runs.
 func TestForEachIndexedFirstError(t *testing.T) {
 	fail := map[int]bool{3: true, 7: true, 11: true}
 	for _, workers := range []int{1, 2, 4, 16} {
+		var ran atomic.Int64
 		err := ForEachIndexed(16, workers, func(i int) error {
+			ran.Add(1)
 			if fail[i] {
 				return fmt.Errorf("fail-%d", i)
 			}
@@ -294,6 +281,9 @@ func TestForEachIndexedFirstError(t *testing.T) {
 		})
 		if err == nil || err.Error() != "fail-3" {
 			t.Fatalf("workers=%d: err = %v, want fail-3", workers, err)
+		}
+		if workers > 1 && ran.Load() != 16 {
+			t.Fatalf("workers=%d: %d of 16 indices ran", workers, ran.Load())
 		}
 	}
 	if err := ForEachIndexed(0, 4, func(int) error { return errors.New("never") }); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -286,6 +287,36 @@ func TestEmptyBuild(t *testing.T) {
 	d.user.UpdateStates(d.owner.StatesSnapshot())
 	if got := d.search(t, Equal(7)); !equalIDs(got, []uint64{1}) {
 		t.Errorf("Equal(7) after first insert = %v", got)
+	}
+}
+
+// TestOwnerBuildOnce pins Build's once-only contract: Insert before Build
+// is refused, a Build rejected for a duplicate ID leaves the owner unbuilt,
+// a corrected Build then commits Ac over its primes, and a second Build
+// errors.
+func TestOwnerBuildOnce(t *testing.T) {
+	owner, err := NewOwner(testParams(8))
+	if err != nil {
+		t.Fatalf("NewOwner: %v", err)
+	}
+	if _, err := owner.Insert([]Record{NewRecord(1, 7)}); !errors.Is(err, ErrNotBuilt) {
+		t.Fatalf("Insert before Build: err = %v, want ErrNotBuilt", err)
+	}
+	if _, err := owner.Build([]Record{NewRecord(1, 7), NewRecord(1, 9)}); !errors.Is(err, ErrDuplicateID) {
+		t.Fatalf("Build with a duplicate ID: err = %v, want ErrDuplicateID", err)
+	}
+	if _, err := owner.Insert([]Record{NewRecord(1, 7)}); !errors.Is(err, ErrNotBuilt) {
+		t.Fatalf("Insert after a failed Build: err = %v, want ErrNotBuilt", err)
+	}
+	out, err := owner.Build([]Record{NewRecord(1, 7), NewRecord(2, 9)})
+	if err != nil {
+		t.Fatalf("corrected Build: %v", err)
+	}
+	if want := owner.AccumulatorPub().Accumulate(out.Primes); out.Ac.Cmp(want) != 0 {
+		t.Fatal("Build's Ac is not the accumulation of its primes")
+	}
+	if _, err := owner.Build([]Record{NewRecord(3, 1)}); err == nil {
+		t.Fatal("second Build succeeded")
 	}
 }
 

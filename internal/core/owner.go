@@ -5,8 +5,6 @@ import (
 	"math/big"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"slicer/internal/accumulator"
@@ -169,33 +167,11 @@ func (o *Owner) LastStats() UpdateStats { return o.lastStats }
 // available cores. Output order matches the input order.
 func derivePrimes(commits []primeInput) []*big.Int {
 	primes := make([]*big.Int, len(commits))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(commits) {
-		workers = len(commits)
-	}
-	if workers <= 1 {
-		for i, c := range commits {
-			primes[i], _ = tokenPrime(c.t, c.j, c.g1, c.g2, c.h)
-		}
-		return primes
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(commits) {
-					return
-				}
-				c := commits[i]
-				primes[i], _ = tokenPrime(c.t, c.j, c.g1, c.g2, c.h)
-			}
-		}()
-	}
-	wg.Wait()
+	_ = ForEachIndexed(len(commits), runtime.GOMAXPROCS(0), func(i int) error {
+		c := commits[i]
+		primes[i], _ = tokenPrime(c.t, c.j, c.g1, c.g2, c.h)
+		return nil
+	})
 	return primes
 }
 
@@ -311,63 +287,19 @@ func (o *Owner) checkNewRecords(db []Record) error {
 }
 
 // Build runs Algorithm 1 over the initial database, producing the encrypted
-// index, the prime list X and the accumulation value Ac. It may be called
-// once; later additions go through Insert.
+// index, the prime list X and the accumulation value Ac. Algorithm 1 is
+// Algorithm 2 on an owner that holds no keyword yet, so Build is the first
+// insert. It may be called once; later additions go through Insert.
 func (o *Owner) Build(db []Record) (*UpdateOutput, error) {
 	if o.built {
 		return nil, fmt.Errorf("core: Build already ran; use Insert for updates")
 	}
-	if err := o.checkNewRecords(db); err != nil {
-		return nil, err
-	}
-	groups, err := o.groupByKeyword(db)
+	out, err := o.insert(db)
 	if err != nil {
 		return nil, err
-	}
-	ix := store.NewIndex()
-	// Deterministic keyword order keeps Build reproducible for tests; the
-	// resulting dictionary is history independent regardless.
-	keywords := sortedKeys(groups)
-
-	indexStart := statsNow()
-	commits := make([]primeInput, 0, len(keywords))
-	defer o.states.Freeze()
-	for _, wStr := range keywords {
-		w := []byte(wStr)
-		t0, err := o.tsk.Sample()
-		if err != nil {
-			return nil, fmt.Errorf("sample trapdoor: %w", err)
-		}
-		o.states.Put(w, store.TrapdoorState{Trapdoor: t0, Epoch: 0})
-		g1, g2 := o.g1g2(w)
-		h, err := indexEntries(ix, g1, g2, t0, groups[wStr], mhash.Empty())
-		if err != nil {
-			return nil, err
-		}
-		o.setHashes.Put(store.SetHashKey(t0, 0, g1, g2), h)
-		commits = append(commits, primeInput{t: t0, j: 0, g1: g1, g2: g2, h: h})
-	}
-	indexDur := statsNow().Sub(indexStart)
-
-	adsStart := statsNow()
-	primes := derivePrimes(commits)
-	ac, err := o.acc.AccumulateFast(primes)
-	if err != nil {
-		return nil, err
-	}
-	o.ac = ac
-	o.lastStats = UpdateStats{
-		IndexDuration: indexDur,
-		ADSDuration:   statsNow().Sub(adsStart),
-		Keywords:      len(keywords),
-		NewPrimes:     len(primes),
-	}
-	o.primes = primes
-	for _, rec := range db {
-		o.seen[rec.ID] = struct{}{}
 	}
 	o.built = true
-	return &UpdateOutput{Index: ix, Primes: clonePrimes(primes), Ac: o.Ac()}, nil
+	return out, nil
 }
 
 // Insert runs Algorithm 2 over a batch of new records, producing the index
@@ -378,6 +310,14 @@ func (o *Owner) Insert(db []Record) (*UpdateOutput, error) {
 	if !o.built {
 		return nil, ErrNotBuilt
 	}
+	return o.insert(db)
+}
+
+// insert is Algorithm 2, shared by Build and Insert. A keyword new to T
+// samples a fresh trapdoor at epoch 0; keywords go in sorted order, which
+// keeps the output reproducible for tests (the dictionary is history
+// independent regardless).
+func (o *Owner) insert(db []Record) (*UpdateOutput, error) {
 	if err := o.checkNewRecords(db); err != nil {
 		return nil, err
 	}

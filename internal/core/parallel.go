@@ -1,13 +1,13 @@
 package core
 
 import (
-	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
 // ForEachIndexed runs fn(0) .. fn(n-1) across at most workers goroutines.
+// Callers pass runtime.GOMAXPROCS(0) for CPU-bound work and n for work that
+// waits on the network, one goroutine per item.
 //
 // It preserves the semantics of the serial loop the callers replaced:
 //
@@ -15,9 +15,8 @@ import (
 //     order matches index order regardless of scheduling.
 //   - First-error semantics — the returned error is the one produced by the
 //     lowest failing index, exactly what a serial early-return would yield.
-//     Once some index fails, higher indices still pending are skipped (their
-//     results would be discarded anyway), but lower indices always run, so
-//     the winning error cannot change with scheduling.
+//     With more than one worker every index runs even after a failure, so
+//     a broadcast still reaches every peer when one of them fails.
 //
 // workers <= 1 (or n <= 1) degrades to the plain serial loop with zero
 // goroutine overhead.
@@ -38,8 +37,6 @@ func ForEachIndexed(n, workers int, fn func(i int) error) error {
 	}
 	errs := make([]error, n)
 	var next atomic.Int64
-	var minFail atomic.Int64
-	minFail.Store(math.MaxInt64)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -50,18 +47,7 @@ func ForEachIndexed(n, workers int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				if int64(i) > minFail.Load() {
-					continue // a lower index already failed; this result is moot
-				}
-				if err := fn(i); err != nil {
-					errs[i] = err
-					for {
-						cur := minFail.Load()
-						if int64(i) >= cur || minFail.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-				}
+				errs[i] = fn(i)
 			}
 		}()
 	}
@@ -72,13 +58,4 @@ func ForEachIndexed(n, workers int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// EffectiveWorkers resolves a configured worker count: 0 (or negative) means
-// "one per available core", anything else is taken literally.
-func EffectiveWorkers(configured int) int {
-	if configured <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return configured
 }

@@ -17,9 +17,9 @@
 // AttachWitnesses and the read-only stats accessors take a read lock, while
 // ApplyUpdate takes the write lock, so any number of users can query one
 // cloud while the owner ships insert deltas. Within one request the cloud
-// additionally fans per-token work across a bounded worker pool
-// (Cloud.SetSearchWorkers; 0 = one worker per core, 1 = the serial pipeline),
-// and VerifyResponse parallelizes Algorithm 5 the same way. Owner and User
+// additionally fans per-token work across one worker per core
+// (ForEachIndexed at GOMAXPROCS; at 1 it is the serial pipeline), and
+// VerifyResponse parallelizes Algorithm 5 the same way. Owner and User
 // remain single-writer types: callers that share them across goroutines
 // must serialize mutations (concurrent read-only use — Token generation,
 // Decrypt — is safe). Owner.Build/Insert and the cloud's witness rebuild

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"runtime"
 
 	"slicer/internal/accumulator"
 	"slicer/internal/hprime"
@@ -140,29 +141,9 @@ func VerifyTokenResult(pp *accumulator.PublicParams, ac *big.Int, res TokenResul
 //
 // Algorithm 5 is independent per token result, so the per-result proof
 // checks (multiset hash + hash-to-prime + witness modexp) fan out across
-// one worker per available core. Use VerifyResponseWorkers to bound the
-// fan-out (workers = 1 reproduces the serial loop exactly); either way the
-// outcome — including which result's error is reported — is deterministic.
+// one worker per available core. The outcome — including which result's
+// error is reported — is the serial loop's at any GOMAXPROCS.
 func VerifyResponse(pp *accumulator.PublicParams, ac *big.Int, req *SearchRequest, resp *SearchResponse) error {
-	return VerifyResponseWorkers(pp, ac, req, resp, 0)
-}
-
-// VerifyResponseObserved is VerifyResponse with observability: the whole
-// Algorithm-5 pass is timed into h and recorded as a "verify" span on tr.
-// Either (or both) may be nil; the verification outcome is identical in
-// every case.
-func VerifyResponseObserved(pp *accumulator.PublicParams, ac *big.Int, req *SearchRequest, resp *SearchResponse, h *obs.Histogram, tr *obs.Trace) error {
-	done := obs.StartPhase(h, tr, "verify")
-	err := VerifyResponseWorkers(pp, ac, req, resp, 0)
-	if err == nil {
-		done() // failed verifications don't pollute the latency histogram
-	}
-	return err
-}
-
-// VerifyResponseWorkers is VerifyResponse with an explicit fan-out bound:
-// 0 uses one worker per available core, 1 verifies serially.
-func VerifyResponseWorkers(pp *accumulator.PublicParams, ac *big.Int, req *SearchRequest, resp *SearchResponse, workers int) error {
 	if len(resp.Results) != len(req.Tokens) {
 		return &VerificationError{TokenIndex: -1, Phase: PhaseCompleteness,
 			Detail: fmt.Sprintf("%d results for %d tokens", len(resp.Results), len(req.Tokens))}
@@ -173,7 +154,7 @@ func VerifyResponseWorkers(pp *accumulator.PublicParams, ac *big.Int, req *Searc
 				Detail: fmt.Sprintf("does not answer request token %d", i)}
 		}
 	}
-	return ForEachIndexed(len(resp.Results), EffectiveWorkers(workers), func(i int) error {
+	return ForEachIndexed(len(resp.Results), runtime.GOMAXPROCS(0), func(i int) error {
 		ok, err := VerifyTokenResult(pp, ac, resp.Results[i], nil)
 		if err != nil {
 			return err
@@ -184,6 +165,19 @@ func VerifyResponseWorkers(pp *accumulator.PublicParams, ac *big.Int, req *Searc
 		}
 		return nil
 	})
+}
+
+// VerifyResponseObserved is VerifyResponse with observability: the whole
+// Algorithm-5 pass is timed into h and recorded as a "verify" span on tr.
+// Either (or both) may be nil; the verification outcome is identical in
+// every case.
+func VerifyResponseObserved(pp *accumulator.PublicParams, ac *big.Int, req *SearchRequest, resp *SearchResponse, h *obs.Histogram, tr *obs.Trace) error {
+	done := obs.StartPhase(h, tr, "verify")
+	err := VerifyResponse(pp, ac, req, resp)
+	if err == nil {
+		done() // failed verifications don't pollute the latency histogram
+	}
+	return err
 }
 
 // sameToken compares two tokens in constant time; the contract compares the

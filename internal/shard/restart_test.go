@@ -47,7 +47,7 @@ func TestRouterRestartRecovery(t *testing.T) {
 	}
 	dir := t.TempDir()
 	boot := func() (*Router, string) {
-		r, err := NewRouter(Options{Shards: specs, DataDir: dir, Fsync: durable.FsyncAlways, workers: 2})
+		r, err := NewRouter(Options{Shards: specs, DataDir: dir, Fsync: durable.FsyncAlways})
 		if err != nil {
 			t.Fatalf("NewRouter: %v", err)
 		}

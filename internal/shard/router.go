@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/big"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -68,9 +69,8 @@ type Options struct {
 	Logger *slog.Logger
 	// Client tunes the connections the router opens to shards.
 	Client wire.ClientOptions
-	// workers (0: one per core) and batch (0: firstWindow) let tests fix
-	// the search fan-out and shrink the first probe window.
-	workers, batch int
+	// batch (0: firstWindow) lets tests shrink the first probe window.
+	batch int
 }
 
 // moveWindow is the double-read window of an in-flight range move: labels
@@ -113,7 +113,6 @@ type Router struct {
 	srv     *wire.Server
 	specs   []ShardSpec
 	pools   map[string]*pool
-	workers int
 	batch   int
 	logger  *slog.Logger
 	started time.Time
@@ -155,7 +154,6 @@ func NewRouter(opts Options) (*Router, error) {
 		srv:     wire.NewServer(),
 		specs:   append([]ShardSpec(nil), opts.Shards...),
 		pools:   make(map[string]*pool, len(opts.Shards)),
-		workers: core.EffectiveWorkers(opts.workers),
 		batch:   firstWindow,
 		logger:  opts.Logger,
 		started: time.Now(),
@@ -395,25 +393,12 @@ func (r *Router) splitIndex(t *Table, ix *store.Index) map[string]*store.Index {
 
 // broadcast runs fn against every configured shard concurrently and returns
 // the error of the lowest shard ID that failed — deterministic regardless of
-// scheduling, mirroring core's first-error semantics.
+// scheduling. Every shard is contacted even when another one fails.
 func (r *Router) broadcast(fn func(id string, p *pool) error) error {
 	ids := r.sortedIDs()
-	errs := make([]error, len(ids))
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			errs[i] = fn(id, r.pools[id])
-		}(i, id)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return core.ForEachIndexed(len(ids), len(ids), func(i int) error {
+		return fn(ids[i], r.pools[ids[i]])
+	})
 }
 
 // handleInit splits the owner's full index by address and initializes every
@@ -513,7 +498,7 @@ func (r *Router) handleSearch(params json.RawMessage, tr *obs.Trace, _ wire.Meta
 	}
 	r.met.searches.Inc()
 	results := make([]core.TokenResult, len(req.Tokens))
-	err = core.ForEachIndexed(len(req.Tokens), r.workers, func(i int) error {
+	err = core.ForEachIndexed(len(req.Tokens), runtime.GOMAXPROCS(0), func(i int) error {
 		res, err := r.searchToken(tpk, req.Tokens[i], tr)
 		if err != nil {
 			return err
@@ -702,40 +687,32 @@ func (r *Router) fetchLabels(labels []store.Label, touched map[string]bool, tr *
 	for _, id := range sortedKeys(sec) {
 		jobs = append(jobs, job{id: id, batch: sec[id], primary: false})
 	}
-	replies := make([]*wire.MGetReply, len(jobs))
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for j := range jobs {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			jb := jobs[j]
-			p, err := r.pool(jb.id)
-			if err != nil {
-				errs[j] = err
-				return
-			}
-			r.met.mgets.WithLabelValues(jb.id).Inc()
-			errs[j] = p.call(func(cc *wire.CloudClient) error {
-				var reply wire.MGetReply
-				if err := cc.Client().CallTraced(wire.MethodCloudMGet,
-					&wire.MGetMsg{Labels: jb.batch.labels}, &reply, tr, "scatter:"+jb.id); err != nil {
-					return err
-				}
-				if len(reply.Found) != len(jb.batch.labels) || len(reply.Payloads) != len(jb.batch.labels) {
-					return fmt.Errorf("shard: mget reply misaligned from %s", jb.id)
-				}
-				replies[j] = &reply
-				return nil
-			})
-		}(j)
+	for _, jb := range jobs {
+		touched[jb.id] = true
 	}
-	wg.Wait()
-	for j := range jobs {
-		touched[jobs[j].id] = true
-		if errs[j] != nil {
-			return nil, nil, errs[j]
+	replies := make([]*wire.MGetReply, len(jobs))
+	err := core.ForEachIndexed(len(jobs), len(jobs), func(j int) error {
+		jb := jobs[j]
+		p, err := r.pool(jb.id)
+		if err != nil {
+			return err
 		}
+		r.met.mgets.WithLabelValues(jb.id).Inc()
+		return p.call(func(cc *wire.CloudClient) error {
+			var reply wire.MGetReply
+			if err := cc.Client().CallTraced(wire.MethodCloudMGet,
+				&wire.MGetMsg{Labels: jb.batch.labels}, &reply, tr, "scatter:"+jb.id); err != nil {
+				return err
+			}
+			if len(reply.Found) != len(jb.batch.labels) || len(reply.Payloads) != len(jb.batch.labels) {
+				return fmt.Errorf("shard: mget reply misaligned from %s", jb.id)
+			}
+			replies[j] = &reply
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	payloads := make([][]byte, len(labels))
 	found := make([]bool, len(labels))
@@ -834,31 +811,26 @@ type ShardStatus struct {
 func (r *Router) ShardStats() ([]ShardStatus, error) {
 	ids := r.sortedIDs()
 	out := make([]ShardStatus, len(ids))
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		out[i] = ShardStatus{ID: id}
+	_ = core.ForEachIndexed(len(ids), len(ids), func(i int) error {
+		out[i] = ShardStatus{ID: ids[i]}
 		for _, sp := range r.specs {
-			if sp.ID == id {
+			if sp.ID == ids[i] {
 				out[i].Addr = sp.Addr
 			}
 		}
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			err := r.pools[id].call(func(cc *wire.CloudClient) error {
-				st, err := cc.Stats()
-				if err != nil {
-					return err
-				}
-				out[i].Stats = st
-				return nil
-			})
+		err := r.pools[ids[i]].call(func(cc *wire.CloudClient) error {
+			st, err := cc.Stats()
 			if err != nil {
-				out[i].Err = err.Error()
+				return err
 			}
-		}(i, id)
-	}
-	wg.Wait()
+			out[i].Stats = st
+			return nil
+		})
+		if err != nil {
+			out[i].Err = err.Error()
+		}
+		return nil // a shard's error is its row's, not the listing's
+	})
 	return out, nil
 }
 

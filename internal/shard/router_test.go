@@ -186,7 +186,7 @@ func TestScatterGatherEquivalence(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7} {
 		n := n
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			f := newFixture(t, n, 50, int64(100+n), Options{workers: 4})
+			f := newFixture(t, n, 50, int64(100+n), Options{})
 			rng := rand.New(rand.NewSource(int64(n)))
 			queries := []core.Query{
 				core.Less(1),
@@ -206,10 +206,78 @@ func TestScatterGatherEquivalence(t *testing.T) {
 	}
 }
 
+// TestBroadcastReachesEveryShard: with the lowest-ID shard down, cloud.init
+// through the router fails, yet the other two shards were still initialized
+// and answer cloud.stats, and router.shards lists them beside s1's error.
+func TestBroadcastReachesEveryShard(t *testing.T) {
+	owner, err := core.NewOwner(core.Params{Bits: 8, TrapdoorBits: 256, AccumulatorBits: 256})
+	if err != nil {
+		t.Fatalf("NewOwner: %v", err)
+	}
+	built, err := owner.Build(workload.Generate(workload.Config{N: 20, Bits: 8, Seed: 5}))
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	var specs []ShardSpec
+	for i := 0; i < 3; i++ {
+		srv := wire.NewCloudServer()
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("shard Listen: %v", err)
+		}
+		if i == 0 {
+			srv.Close()
+		} else {
+			t.Cleanup(func() { srv.Close() })
+		}
+		specs = append(specs, ShardSpec{ID: fmt.Sprintf("s%d", i+1), Addr: addr})
+	}
+	router, err := NewRouter(Options{Shards: specs})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	addr, err := router.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("router Listen: %v", err)
+	}
+	t.Cleanup(func() { router.Close() })
+	cli, err := wire.DialCloud(addr)
+	if err != nil {
+		t.Fatalf("DialCloud(router): %v", err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	if err := cli.Init(owner.CloudInit(built.Index), true); err == nil {
+		t.Fatal("init through the router succeeded with s1 down")
+	}
+	for _, sp := range specs[1:] {
+		cc, err := wire.DialCloud(sp.Addr)
+		if err != nil {
+			t.Fatalf("DialCloud(%s): %v", sp.ID, err)
+		}
+		st, err := cc.Stats()
+		cc.Close()
+		if err != nil {
+			t.Fatalf("%s stats after the failed init: %v", sp.ID, err)
+		}
+		if st.Primes != len(built.Primes) {
+			t.Fatalf("%s holds %d primes, want %d", sp.ID, st.Primes, len(built.Primes))
+		}
+	}
+	rows, err := router.ShardStats()
+	if err != nil {
+		t.Fatalf("ShardStats: %v", err)
+	}
+	for i, row := range rows {
+		if down := i == 0; row.ID != specs[i].ID || (row.Err != "") != down || (row.Stats == nil) != down {
+			t.Fatalf("router.shards row %d = %+v, want %s reachable=%v", i, row, specs[i].ID, !down)
+		}
+	}
+}
+
 // TestRoutedUpdateEquivalence inserts through the router and re-checks
 // equivalence: the delta must split by address while the ADS replicates.
 func TestRoutedUpdateEquivalence(t *testing.T) {
-	f := newFixture(t, 3, 40, 9, Options{workers: 4})
+	f := newFixture(t, 3, 40, 9, Options{})
 	for i := 0; i < 3; i++ {
 		up, err := f.owner.Insert([]core.Record{core.NewRecord(uint64(5000+i), uint64(40+i))})
 		if err != nil {
@@ -232,7 +300,7 @@ func TestRoutedUpdateEquivalence(t *testing.T) {
 // re-checks byte-identical search before, during is covered by the race
 // test, and after the move.
 func TestRebalanceEquivalence(t *testing.T) {
-	f := newFixture(t, 3, 60, 17, Options{workers: 4})
+	f := newFixture(t, 3, 60, 17, Options{})
 	f.checkQuery(t, core.Less(200))
 	table := f.router.Table()
 	src := table.Shards()[0]
@@ -260,7 +328,7 @@ func TestRebalanceEquivalence(t *testing.T) {
 // while ranges move between shards; zero searches may fail and every
 // response must verify. Run with -race.
 func TestSearchDuringRebalance(t *testing.T) {
-	f := newFixture(t, 3, 60, 23, Options{workers: 4})
+	f := newFixture(t, 3, 60, 23, Options{})
 	req, err := f.user.Token(core.Less(200))
 	if err != nil {
 		t.Fatalf("Token: %v", err)
@@ -344,7 +412,7 @@ func FuzzScatterGatherEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shardSel, nRec uint8, seed int64, val, op uint8) {
 		nShards := shardCounts[int(shardSel)%len(shardCounts)]
 		n := 5 + int(nRec)%40
-		fx := newFixture(t, nShards, n, seed, Options{workers: 2, batch: 4})
+		fx := newFixture(t, nShards, n, seed, Options{batch: 4})
 		for round := 0; round < int(nRec)/40; round++ {
 			// 1..11 records of the queried value: list lengths on both sides
 			// of the first (4) and second (8) probe window.
@@ -376,7 +444,7 @@ func windowEdges(b int) []int {
 // range on both shards, and on the destination alone before the window shuts.
 func TestFrontierWindowEdges(t *testing.T) {
 	const batch = 4
-	f := newFixture(t, 3, 30, 41, Options{workers: 4, batch: batch})
+	f := newFixture(t, 3, 30, 41, Options{batch: batch})
 	edges := windowEdges(batch)
 	for e := 0; e < 3*len(edges); e++ {
 		recs := f.records(edges[e%len(edges)], 77)
@@ -482,7 +550,7 @@ func (c *mgetCounter) take() []int {
 func TestFrontierRoundCount(t *testing.T) {
 	const batch = 4
 	var counter mgetCounter
-	f := newFixtureFronted(t, 1, 20, 43, Options{workers: 2, batch: batch}, counter.front(t))
+	f := newFixtureFronted(t, 1, 20, 43, Options{batch: batch}, counter.front(t))
 	value := uint64(0)
 	for present := true; present; {
 		value++

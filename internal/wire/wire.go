@@ -166,7 +166,6 @@ type handlerEntry struct {
 	fn        MetaHandler
 	ok        *obs.Counter
 	fail      *obs.Counter
-	errs      *obs.Counter // legacy unsplit error series, kept for dashboards
 	dur       *obs.Histogram
 	reqBytes  *obs.Histogram
 	respBytes *obs.Histogram
@@ -297,8 +296,6 @@ func (s *Server) instrument(method string, e *handlerEntry) {
 	}
 	e.ok = s.requests.WithLabelValues(s.subsystem, method, "ok")
 	e.fail = s.requests.WithLabelValues(s.subsystem, method, "error")
-	e.errs = s.reg.Counter(obs.Label("slicer_rpc_errors_total", "server", s.subsystem, "method", method),
-		"RPC requests that returned an error, by method.")
 	e.dur = s.durVec.WithLabelValues(s.subsystem, method)
 	e.reqBytes = s.reqBytesVec.WithLabelValues(s.subsystem, method)
 	e.respBytes = s.respBytesVec.WithLabelValues(s.subsystem, method)
@@ -420,7 +417,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			if err != nil {
 				e.fail.Inc()
-				e.errs.Inc()
 				s.log().Debug("rpc error", "method", req.Method, "peer", peer, "err", err)
 				resp.Error = err.Error()
 			} else {

@@ -21,7 +21,6 @@ package slicer
 
 import (
 	"fmt"
-	"sync"
 
 	"slicer/internal/core"
 	"slicer/internal/obs"
@@ -401,25 +400,17 @@ func (s *Scheme) ConjunctiveSearch(conds []Condition) ([]uint64, error) {
 	}
 	s.met.conj.Inc()
 	results := make([][]uint64, len(conds))
-	errs := make([]error, len(conds))
-	var wg sync.WaitGroup
-	for i, c := range conds {
-		wg.Add(1)
-		go func(i int, c Condition) {
-			defer wg.Done()
-			ids, err := s.RangeSearch(c.Attr, c.Lo, c.Hi)
-			if err != nil {
-				errs[i] = fmt.Errorf("condition %d (%s in [%d,%d]): %w", i, c.Attr, c.Lo, c.Hi, err)
-				return
-			}
-			results[i] = ids
-		}(i, c)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := core.ForEachIndexed(len(conds), len(conds), func(i int) error {
+		c := conds[i]
+		ids, err := s.RangeSearch(c.Attr, c.Lo, c.Hi)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("condition %d (%s in [%d,%d]): %w", i, c.Attr, c.Lo, c.Hi, err)
 		}
+		results[i] = ids
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	acc := results[0]
 	for _, ids := range results[1:] {

@@ -2,6 +2,7 @@ package slicer
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -152,6 +153,16 @@ func TestConjunctiveSearch(t *testing.T) {
 
 	if _, err := s.ConjunctiveSearch(nil); err == nil {
 		t.Error("empty condition list accepted")
+	}
+
+	// Conditions run concurrently; the lowest failing one is reported.
+	_, err = s.ConjunctiveSearch([]Condition{
+		{Attr: "age", Lo: 0, Hi: 40},
+		{Attr: "age", Lo: 50, Hi: 40},
+		{Attr: "hr", Lo: 9, Hi: 1},
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "condition 1 ") {
+		t.Errorf("two invalid conditions: err = %v, want condition 1's", err)
 	}
 }
 

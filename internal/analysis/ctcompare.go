@@ -11,14 +11,15 @@ import (
 // comparisons of secret-derived bytes must be constant time. These are the
 // packages implementing the paper's cryptographic machinery: the PRFs and
 // symmetric encryption, the on-chain verification contract, the
-// order-revealing encryption, the multiset hash, the RSA accumulator and
-// the forward-secure trapdoor permutation.
+// order-revealing encryption, the multiset hash, the prime representatives
+// H_prime, the RSA accumulator and the forward-secure trapdoor permutation.
 var CryptoPackages = map[string]bool{
 	"prf":         true,
 	"symenc":      true,
 	"contract":    true,
 	"sore":        true,
 	"mhash":       true,
+	"hprime":      true,
 	"accumulator": true,
 	"trapdoor":    true,
 }

@@ -34,6 +34,7 @@ func TestNoNonConstantTimeCompares(t *testing.T) {
 		"internal/symenc",
 		"internal/sore",
 		"internal/mhash",
+		"internal/hprime",
 		"internal/accumulator",
 		"internal/trapdoor",
 	}

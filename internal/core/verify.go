@@ -75,8 +75,11 @@ func (freeMeter) ChargeHash(int) error                  { return nil }
 func (freeMeter) ChargeFieldMul() error                 { return nil }
 func (freeMeter) ChargeModExp(int, int, *big.Int) error { return nil }
 
-// millerRabinRounds is how many Miller–Rabin rounds the meter charges for
-// certifying the prime representative, each one modexp at prime width.
+// millerRabinRounds is a flat certification price for the prime
+// representative: three modexps at prime width, whatever the test costs.
+// What runs is Baillie–PSW (hprime.probablyPrime), a base-2 round on every
+// sieve survivor and a Lucas ladder on the prime; ROADMAP item 23b prices
+// that instead.
 const millerRabinRounds = 3
 
 // VerifyTokenResult runs Algorithm 5 for a single token result against the
@@ -88,7 +91,7 @@ const millerRabinRounds = 3
 //
 // m is charged as the work happens — per er one hash per rejection-sampling
 // attempt and one field multiply, then H_prime's input hash and one hash per
-// probe, the Miller–Rabin rounds and the witness modexp — so a hostile
+// probe, the flat certification price and the witness modexp — so a hostile
 // submission runs out of gas before it gets unpaid work. Only m's errors are
 // returned.
 func VerifyTokenResult(pp *accumulator.PublicParams, ac *big.Int, res TokenResult, m Meter) (bool, error) {

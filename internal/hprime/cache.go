@@ -1,6 +1,7 @@
 package hprime
 
 import (
+	"crypto/sha256"
 	"math/big"
 	"sync"
 )
@@ -20,24 +21,21 @@ type cachedPrime struct {
 	probes int
 }
 
-// primeCache is a two-generation memo: inserts land in cur, and when cur
-// fills, cur becomes prev and a fresh generation starts. Hits in prev are
-// promoted. Eviction is therefore bounded, deterministic in aggregate size,
-// and needs no per-entry bookkeeping.
+// primeCache is a two-generation memo keyed by HashCount's SHA-256 digest,
+// so keying costs nothing extra and collisions reduce to SHA-256
+// collisions. Inserts land in cur, and when cur fills, cur becomes prev and
+// a fresh generation starts. Hits in prev are promoted. Eviction is
+// therefore bounded, deterministic in aggregate size, and needs no
+// per-entry bookkeeping.
 type primeCache struct {
 	mu        sync.RWMutex
 	capacity  int
-	cur, prev map[[sipWidth]byte]cachedPrime
+	cur, prev map[[sha256.Size]byte]cachedPrime
 }
-
-// sipWidth is the cache key width: the first SHA-256 block of the expanded
-// candidate material, already computed by HashCount, so keying costs nothing
-// extra and collisions reduce to SHA-256 collisions.
-const sipWidth = 32
 
 var cache = primeCache{
 	capacity: DefaultCacheCapacity,
-	cur:      make(map[[sipWidth]byte]cachedPrime),
+	cur:      make(map[[sha256.Size]byte]cachedPrime),
 }
 
 // SetCacheCapacity resizes the memo cache's per-generation capacity. Zero or
@@ -49,7 +47,7 @@ func SetCacheCapacity(n int) {
 	cache.capacity = n
 	cache.prev = nil
 	if n > 0 {
-		cache.cur = make(map[[sipWidth]byte]cachedPrime, n)
+		cache.cur = make(map[[sha256.Size]byte]cachedPrime, n)
 	} else {
 		cache.cur = nil
 	}
@@ -62,7 +60,7 @@ func CacheLen() int {
 	return len(cache.cur) + len(cache.prev)
 }
 
-func (c *primeCache) lookup(key [sipWidth]byte) (cachedPrime, bool) {
+func (c *primeCache) lookup(key [sha256.Size]byte) (cachedPrime, bool) {
 	c.mu.RLock()
 	if c.capacity <= 0 {
 		c.mu.RUnlock()
@@ -80,7 +78,7 @@ func (c *primeCache) lookup(key [sipWidth]byte) (cachedPrime, bool) {
 	return e, ok
 }
 
-func (c *primeCache) store(key [sipWidth]byte, e cachedPrime) {
+func (c *primeCache) store(key [sha256.Size]byte, e cachedPrime) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.capacity <= 0 {
@@ -88,7 +86,7 @@ func (c *primeCache) store(key [sipWidth]byte, e cachedPrime) {
 	}
 	if len(c.cur) >= c.capacity {
 		c.prev = c.cur
-		c.cur = make(map[[sipWidth]byte]cachedPrime, c.capacity)
+		c.cur = make(map[[sha256.Size]byte]cachedPrime, c.capacity)
 	}
 	c.cur[key] = e
 }

@@ -4,31 +4,25 @@
 // prime representative for each (search token, set hash) pair before
 // accumulation.
 //
-// Construction: expand the input with SHA-256 into a PrimeBits-wide odd
-// candidate with the top bit forced (so every output has exactly PrimeBits
-// bits), then probe candidate, candidate+2, candidate+4, ... until a
-// probable prime is found. The mapping is deterministic, so the cloud and
-// the on-chain verifier derive the same prime independently, and collision
-// resistance reduces to that of SHA-256 plus the sparseness of the probe
-// window.
+// Construction: hash the input with SHA-256, take the digest's first
+// PrimeBits as an odd candidate with the top bit forced (so every output has
+// exactly PrimeBits bits), then probe candidate, candidate+2, candidate+4,
+// ... until one passes the Baillie–PSW test. The mapping is deterministic
+// and public, so the cloud and the on-chain verifier derive the same prime
+// independently, and collision resistance reduces to that of SHA-256 plus
+// the sparseness of the probe window.
 //
 // The probe loop is hot (index building derives one prime per keyword, and
 // every owner Insert derives fresh ones), so composites are first discarded
 // by an incremental trial-division sieve: the candidate's residues modulo
 // all small primes are computed once and advanced by +2 per probe in machine
-// words. A survivor is then accepted exactly when
-// (*big.Int).ProbablyPrime(2) accepts it, but the test runs on the
-// candidate's two words with no big.Int (probablyPrime): math/big's trial
-// division, its base-2 Miller–Rabin round (sprp2), its two rounds to bases
-// drawn from a math/rand source seeded with the low word, and its almost
-// extra strong Lucas test, all in Montgomery form. It replicates math/big
-// part for part, so every prime and every probe count (and so all gas) is
-// the one ProbablyPrime gives, on every input. A cold prime went from
-// 134–191 µs, 99 allocations and 12.5 KB to 60–76 µs, 9 and 2.1 KB, at
-// 42.61 probes either way (BenchmarkHashCold, 2000 primes, five runs of each
-// binary alternated, 2-vCPU Xeon). A Go release that changed math/big's
-// bases or its Lucas test would be caught by the oracle tests, which compare
-// each part with math/big, and by testdata/kat.golden.
+// words. A survivor is accepted by Baillie–PSW on its two words with no
+// big.Int (probablyPrime): trial division by the odd primes up to 53, a
+// strong probable-prime test to base 2 (sprp2) and the almost extra strong
+// Lucas test, in Montgomery form. These are the parts of
+// (*big.Int).ProbablyPrime(0), which the oracle tests compare each part
+// with, so every prime and every probe count (and so all gas) is the one
+// math/big gives. testdata/kat.golden pins both.
 package hprime
 
 import (
@@ -36,8 +30,6 @@ import (
 	"encoding/binary"
 	"math/big"
 	"math/bits"
-	"math/rand" //slicer:allow weakrand -- math/big's public Miller–Rabin bases, seeded by the candidate; no key material
-	"sync"
 )
 
 // PrimeBits is the bit width of generated prime representatives. 128 bits
@@ -47,10 +39,6 @@ const PrimeBits = 128
 
 // PrimeBytes is the fixed serialized width of prime representatives.
 const PrimeBytes = PrimeBits / 8
-
-// millerRabinRounds is the extra Miller–Rabin work on top of Go's baseline
-// Baillie–PSW test (which has no known composite passing it).
-const millerRabinRounds = 2
 
 // smallPrimes drives the trial-division pre-sieve: the 308 odd primes below
 // sieveLimit (the candidates are always odd). An array, so that a probe
@@ -90,35 +78,28 @@ func Hash(data []byte) *big.Int {
 // Results are memoized in a bounded cache (see SetCacheCapacity): repeat
 // inputs return the identical prime and probe count without re-probing.
 func HashCount(data []byte) (*big.Int, int) {
-	// Expand to PrimeBytes of digest material (counter-mode SHA-256).
-	var buf []byte
-	for ctr := uint32(0); len(buf) < PrimeBytes; ctr++ {
-		h := sha256.New()
-		h.Write([]byte("slicer/hprime/v1"))
-		var c [4]byte
-		binary.BigEndian.PutUint32(c[:], ctr)
-		h.Write(c[:])
-		h.Write(data)
-		buf = append(buf, h.Sum(nil)...)
-	}
-	// The first digest block is a collision-resistant fingerprint of data;
-	// use it as the memo key so cache hits skip the whole probe loop.
-	var key [sipWidth]byte
-	copy(key[:], buf)
-	if e, ok := cache.lookup(key); ok {
+	// The digest of "slicer/hprime/v1" ‖ 0:4 ‖ data (PROTOCOL.md §4), a
+	// collision-resistant fingerprint of data and so also the memo key.
+	var digest [sha256.Size]byte
+	h := sha256.New()
+	h.Write([]byte("slicer/hprime/v1"))
+	h.Write([]byte{0, 0, 0, 0})
+	h.Write(data)
+	h.Sum(digest[:0])
+	if e, ok := cache.lookup(digest); ok {
 		return new(big.Int).Set(e.prime), e.probes
 	}
 	// The candidate: the digest's first two words, top bit forced (so every
 	// output has full width) and odd.
-	hi := binary.BigEndian.Uint64(buf) | 1<<63
-	lo := binary.BigEndian.Uint64(buf[8:]) | 1
+	hi := binary.BigEndian.Uint64(digest[:]) | 1<<63
+	lo := binary.BigEndian.Uint64(digest[8:]) | 1
 	prime, probes := probe(hi, lo)
-	cache.store(key, cachedPrime{prime: new(big.Int).Set(prime), probes: probes})
+	cache.store(digest, cachedPrime{prime: new(big.Int).Set(prime), probes: probes})
 	return prime, probes
 }
 
 // probe walks the odd numbers from the candidate hi·2^64 + lo (odd, bit 127
-// set) upward to the first that ProbablyPrime accepts, and counts them.
+// set) upward to the first that probablyPrime accepts, and counts them.
 func probe(hi, lo uint64) (*big.Int, int) {
 	// Seed the incremental residue table with word arithmetic (the running
 	// remainder is < p, as bits.Rem64 requires). A big.Int division per sieve
@@ -143,7 +124,7 @@ func probe(hi, lo uint64) (*big.Int, int) {
 			// 2^128: the words then hold cand - 2^128, and math/big decides.
 			if hi>>63 == 0 {
 				cand := fromWords(hi, lo)
-				if cand.SetBit(cand, PrimeBits, 1).ProbablyPrime(millerRabinRounds) {
+				if cand.SetBit(cand, PrimeBits, 1).ProbablyPrime(0) {
 					return cand, probes
 				}
 			} else if probablyPrime(hi, lo) {
@@ -169,34 +150,25 @@ func fromWords(hi, lo uint64) *big.Int {
 }
 
 // sprp2 reports whether n = hi·2^64 + lo, odd and with bit 127 set, is a
-// strong probable prime to base 2. Every prime is; a number that is not has
-// been proven composite. It computes in Montgomery form with R = 2^128 on
-// machine words and allocates nothing.
+// strong probable prime to base 2: with n-1 = d·2^s and d odd, whether
+// 2^d = ±1 or 2^(d·2^r) = -1 (mod n) for some 0 < r < s. Every prime is; a
+// number that is not has been proven composite. It computes in Montgomery
+// form with R = 2^128 on machine words and allocates nothing.
 func sprp2(hi, lo uint64) bool {
 	n := newModulus(hi, lo)
-	// R mod n = 2^128 - n, because 2^127 <= n; and multiplying by the base 2
-	// is a doubling.
-	return n.strongProbablePrime(^hi, -lo, func(xHi, xLo uint64) (uint64, uint64) {
-		return n.reduce(xHi>>63, xHi<<1|xLo>>63, xLo<<1)
-	})
-}
-
-// strongProbablePrime reports whether n is a strong probable prime to the
-// base b that timesBase multiplies by, in Montgomery form with one = R mod
-// n: with n-1 = d·2^s and d odd, whether b^d = ±1 or b^(d·2^r) = -1 (mod n)
-// for some 0 < r < s.
-func (n modulus) strongProbablePrime(oneHi, oneLo uint64, timesBase func(hi, lo uint64) (uint64, uint64)) bool {
+	// R mod n = 2^128 - n, because 2^127 <= n.
+	oneHi, oneLo := ^hi, -lo
 	minusHi, minusLo := n.sub(0, 0, oneHi, oneLo)
 
 	// Left to right over the bits of n-1 = hi·2^64 + (lo-1), stopping above
-	// its s trailing zeros: square, and multiply by b where the bit is set.
-	eHi, eLo := n.hi, n.lo-1
+	// its s trailing zeros: square, and double where the bit is set.
+	eHi, eLo := hi, lo-1
 	s := trailingZeros(eHi, eLo)
 	xHi, xLo := oneHi, oneLo
 	for i := 127; i >= s; i-- {
 		xHi, xLo = n.square(xHi, xLo)
 		if eHi>>63 != 0 {
-			xHi, xLo = timesBase(xHi, xLo)
+			xHi, xLo = n.add(xHi, xLo, xHi, xLo)
 		}
 		eHi, eLo = eHi<<1|eLo>>63, eLo<<1
 	}
@@ -335,18 +307,10 @@ func (f field) toMont(xHi, xLo uint64) (uint64, uint64) {
 	return f.mul(xHi, xLo, f.r2Hi, f.r2Lo)
 }
 
-// baseRands holds the generators of the Miller–Rabin bases. Each prime
-// reseeds one, where math/big allocates a fresh 4.9 KB source.
-var baseRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
-// probablyPrime reports whether n = hi·2^64 + lo, odd with bit 127 set, is
-// accepted by (*big.Int).ProbablyPrime(millerRabinRounds), which it
-// replicates part for part: trial division by the odd primes up to 53, a
-// Miller–Rabin round to base 2 and one to each of millerRabinRounds bases
-// drawn from a math/rand source seeded with n's low word, and the almost
-// extra strong Lucas test. n must pass every part, so the order (base 2
-// first, the cheapest rejection) does not matter, and the answer is the
-// same on every input, not merely on every input anyone has tried.
+// probablyPrime reports whether n = hi·2^64 + lo, odd with bit 127 set,
+// passes the Baillie–PSW test: no odd prime up to 53 divides it, it is a
+// strong probable prime to base 2, and it passes the almost extra strong
+// Lucas test. n must pass every part, so the order does not matter.
 func probablyPrime(hi, lo uint64) bool {
 	const oddPrimorial53 = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53
 	r := bits.Rem64(hi, lo, oddPrimorial53)
@@ -355,49 +319,7 @@ func probablyPrime(hi, lo uint64) bool {
 			return false
 		}
 	}
-	if !sprp2(hi, lo) {
-		return false
-	}
-	f := newField(hi, lo)
-	for _, x := range millerRabinBases(hi, lo) {
-		if !f.sprp(f.toMont(x[0], x[1])) {
-			return false
-		}
-	}
-	return f.lucas()
-}
-
-// millerRabinBases returns the bases (high word, low word) of math/big's
-// random Miller–Rabin rounds for n = hi·2^64 + lo, drawn as it draws them
-// (nat.random, then +2) from a generator seeded with lo: uniform below n-3
-// by rejection, each word two Uint32 draws with the low half first, the top
-// word masked to the bit length of n-3.
-func millerRabinBases(hi, lo uint64) (bases [millerRabinRounds][2]uint64) {
-	rng := baseRands.Get().(*rand.Rand)
-	defer baseRands.Put(rng)
-	rng.Seed(int64(lo))
-	limLo, borrow := bits.Sub64(lo, 3, 0)
-	limHi := hi - borrow
-	mask := ^uint64(0) >> bits.LeadingZeros64(limHi)
-	for i := range bases {
-		for {
-			xLo := uint64(rng.Uint32()) | uint64(rng.Uint32())<<32
-			xHi := (uint64(rng.Uint32()) | uint64(rng.Uint32())<<32) & mask
-			if xHi < limHi || xHi == limHi && xLo < limLo {
-				xLo, c := bits.Add64(xLo, 2, 0)
-				bases[i] = [2]uint64{xHi + c, xLo}
-				break
-			}
-		}
-	}
-	return bases
-}
-
-// sprp reports whether n is a strong probable prime to the base x·R mod n.
-func (f field) sprp(xHi, xLo uint64) bool {
-	return f.strongProbablePrime(f.oneHi, f.oneLo, func(aHi, aLo uint64) (uint64, uint64) {
-		return f.mul(aHi, aLo, xHi, xLo)
-	})
+	return sprp2(hi, lo) && newField(hi, lo).lucas()
 }
 
 // lucas is math/big's almost extra strong Lucas test on n, which is not
@@ -428,7 +350,7 @@ func (f field) lucas() bool {
 	}
 
 	// Left to right over the bits of n+1, stopping above its r trailing
-	// zeros, as strongProbablePrime walks n-1: from k = 0 up to k = s.
+	// zeros, as sprp2 walks n-1: from k = 0 up to k = s.
 	eLo, c := bits.Add64(f.lo, 1, 0)
 	eHi := f.hi + c
 	r := trailingZeros(eHi, eLo)

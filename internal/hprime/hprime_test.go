@@ -67,20 +67,20 @@ func TestHashConcatInjectiveFraming(t *testing.T) {
 }
 
 // referenceProbe is the probe loop as specified and nothing more:
-// ProbablyPrime on every odd number from cand upward. No sieve, no word
-// filter, no memo.
+// ProbablyPrime(0), Baillie–PSW, on every odd number from cand upward. No
+// sieve, no word filter, no memo.
 func referenceProbe(cand *big.Int) (*big.Int, int) {
 	two := big.NewInt(2)
 	for probes := 1; ; probes++ {
-		if cand.ProbablyPrime(millerRabinRounds) {
+		if cand.ProbablyPrime(0) {
 			return cand, probes
 		}
 		cand.Add(cand, two)
 	}
 }
 
-// referenceHashCount derives the candidate as HashCount does and hands it
-// to referenceProbe.
+// referenceHashCount derives the candidate as counter-mode SHA-256, of which
+// HashCount takes only the first block, and hands it to referenceProbe.
 func referenceHashCount(data []byte) (*big.Int, int) {
 	var buf []byte
 	for ctr := uint32(0); len(buf) < PrimeBytes; ctr++ {
@@ -133,7 +133,8 @@ func TestProbeCarriesPast128Bits(t *testing.T) {
 	}
 }
 
-// strongProbablePrime2 is the oracle for sprp2, in math/big.
+// strongProbablePrime2 is the oracle for sprp2, in math/big: whether n is a
+// strong probable prime to base 2.
 func strongProbablePrime2(n *big.Int) bool {
 	one := big.NewInt(1)
 	minus := new(big.Int).Sub(n, one)
@@ -152,8 +153,9 @@ func strongProbablePrime2(n *big.Int) bool {
 
 // TestSprp2MatchesBigOracle checks the word arithmetic against math/big on
 // odd 128-bit numbers of every shape the loop distinguishes: n-1 with 1 to
-// 127 trailing zeros (a zero low word from 64 on), random composites, and
-// primes, every one of which must pass or H_prime would skip it.
+// 127 trailing zeros (a zero low word from 64 on), random composites,
+// Carmichael numbers that pass base 2, and primes, every one of which must
+// pass or H_prime would skip it.
 func TestSprp2MatchesBigOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	check := func(hi, lo uint64) bool {
@@ -163,7 +165,7 @@ func TestSprp2MatchesBigOracle(t *testing.T) {
 		if got != want {
 			t.Fatalf("sprp2(%#x, %#x) = %v, math/big says %v", hi, lo, got, want)
 		}
-		if prime := n.ProbablyPrime(millerRabinRounds); prime && !got {
+		if prime := n.ProbablyPrime(0); prime && !got {
 			t.Fatalf("sprp2 rejects the prime %v", n)
 		}
 		return got
@@ -181,6 +183,11 @@ func TestSprp2MatchesBigOracle(t *testing.T) {
 	}
 	for i := 0; i < 20000; i++ {
 		check(rng.Uint64()|1<<63, rng.Uint64()|1)
+	}
+	for _, d := range chernickOffsets {
+		if !check(toWords(chernick(d))) {
+			t.Fatalf("sprp2 rejects the base-2 strong pseudoprime %v", chernick(d))
+		}
 	}
 	for _, n := range [][2]uint64{
 		{1 << 63, 1}, {^uint64(0), ^uint64(0)}, {^uint64(0), 1}, {1 << 63, ^uint64(0)},

@@ -274,3 +274,33 @@ func BenchmarkOfMultiset(b *testing.B) {
 		_ = sink.Marshal()
 	}
 }
+
+// TestGroupOrderFactorization pins the factorization of q - 1 that
+// DESIGN.md's security table reads the multiset hash's level from:
+// Pohlig–Hellman reduces a discrete log in GF(q)* to the subgroup of the
+// largest prime factor, 109 bits, where Pollard rho takes about 2^55
+// steps. A change of q must redo that row.
+func TestGroupOrderFactorization(t *testing.T) {
+	product := new(big.Int).Lsh(big.NewInt(1), 6)
+	for _, f := range []struct {
+		p    string
+		bits int
+	}{
+		{"3", 2}, {"149", 8}, {"631", 10},
+		{"107361793816595537", 57},
+		{"174723607534414371449", 68},
+		{"341948486974166000522343609283189", 109},
+	} {
+		p, _ := new(big.Int).SetString(f.p, 10)
+		if !p.ProbablyPrime(20) {
+			t.Errorf("factor %v of q-1 is not prime", p)
+		}
+		if p.BitLen() != f.bits {
+			t.Errorf("factor %v of q-1 has %d bits, want %d", p, p.BitLen(), f.bits)
+		}
+		product.Mul(product, p)
+	}
+	if want := new(big.Int).Sub(qInt, big.NewInt(1)); product.Cmp(want) != 0 {
+		t.Fatalf("2^6 · 3 · 149 · 631 · p57 · p68 · p109 = %v, q-1 = %v", product, want)
+	}
+}

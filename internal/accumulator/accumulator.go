@@ -13,7 +13,9 @@
 // The data owner runs Setup and therefore knows φ(n); the package exposes a
 // fast accumulation path that reduces the exponent mod φ(n) (owner only)
 // alongside the public iterative path (cloud / verifier). Witnesses for all
-// members at once are computed with the O(|X| log |X|) RootFactor algorithm.
+// members at once are computed by the owner with the trapdoor (Witnesses:
+// two half-width modexps each) or by anyone with the O(|X| log |X|)
+// RootFactor algorithm; both return the same values.
 package accumulator
 
 import (
@@ -193,6 +195,60 @@ func (p *Params) AddFast(ac *big.Int, primes []*big.Int) (*big.Int, error) {
 		e.Mod(e, p.phi)
 	}
 	return new(big.Int).Exp(ac, e, p.N), nil
+}
+
+// Witnesses returns a function that computes the membership witness of
+// primes[i], the value RootFactor(primes)[i] is, from the factorization
+// trapdoor (owner only). It recovers p and q from (n, φ(n)) once and
+// reduces every E_i = Π_{j≠i} x_j modulo p−1 and q−1 from prefix and suffix
+// products, so each witness is two half-width modexps, g^E_i mod p and mod
+// q, joined by Garner's CRT step. No inverse is taken, so a prime dividing
+// p−1 or q−1 needs no special case. The function is safe for concurrent
+// use; primes must not change while it is. g must be a unit mod n, as
+// Setup's is.
+func (p *Params) Witnesses(primes []*big.Int) (func(i int) *big.Int, error) {
+	if p.phi == nil {
+		return nil, errors.New("accumulator: witnesses require the factorization trapdoor")
+	}
+	// p + q = n − φ + 1 = s and p − q = √(s² − 4n).
+	s := new(big.Int).Sub(p.N, p.phi)
+	s.Add(s, one)
+	d := new(big.Int).Mul(s, s)
+	d.Sub(d, new(big.Int).Lsh(p.N, 2))
+	if d.Sign() >= 0 {
+		d.Sqrt(d)
+	}
+	fp := new(big.Int).Rsh(new(big.Int).Add(s, d), 1)
+	fq := new(big.Int).Rsh(new(big.Int).Sub(s, d), 1)
+	qInv := new(big.Int)
+	if d.Sign() < 0 || fq.Cmp(one) <= 0 || new(big.Int).Mul(fp, fq).Cmp(p.N) != 0 ||
+		qInv.ModInverse(fq, fp) == nil {
+		return nil, errors.New("accumulator: φ(n) does not factor n")
+	}
+	half := func(f *big.Int) func(i int) *big.Int {
+		m := new(big.Int).Sub(f, one)
+		e := make([]*big.Int, len(primes))
+		acc := big.NewInt(1)
+		for i, x := range primes { // e[i] = Π_{j<i} x_j mod m
+			e[i] = new(big.Int).Set(acc)
+			acc.Mul(acc, x).Mod(acc, m)
+		}
+		acc.SetInt64(1)
+		for i := len(primes) - 1; i >= 0; i-- { // times Π_{j>i} x_j
+			e[i].Mul(e[i], acc).Mod(e[i], m)
+			acc.Mul(acc, primes[i]).Mod(acc, m)
+		}
+		g := new(big.Int).Mod(p.G, f)
+		// By Fermat, g^e[i] ≡ g^(Π_{j≠i} x_j) (mod f).
+		return func(i int) *big.Int { return new(big.Int).Exp(g, e[i], f) }
+	}
+	expP, expQ := half(fp), half(fq)
+	return func(i int) *big.Int {
+		wp, wq := expP(i), expQ(i)
+		// The one value below n that is wp mod p and wq mod q.
+		wp.Sub(wp, wq).Mul(wp, qInv).Mod(wp, fp)
+		return wp.Mul(wp, fq).Add(wp, wq)
+	}, nil
 }
 
 // MemWit computes the membership witness for member: g raised to the

@@ -21,11 +21,11 @@ import (
 type WitnessMode int
 
 const (
-	// WitnessCached precomputes witnesses for every accumulated prime with
-	// the RootFactor algorithm and maintains them lazily on insert (see
-	// ApplyUpdate). Query-time VO generation is then a single lookup plus
-	// the pending folds. This matches the fast VO-generation times of the
-	// paper's evaluation.
+	// WitnessCached holds a witness for every accumulated prime, the
+	// owner's (checked) or, when none were shipped, its own from RootFactor,
+	// and maintains them lazily on insert (see ApplyUpdate). Query-time VO
+	// generation is then a single lookup plus the pending folds. This
+	// matches the fast VO-generation times of the paper's evaluation.
 	WitnessCached WitnessMode = iota + 1
 	// WitnessOnDemand derives each witness at query time from a memoized
 	// RootFactor tree over the current prime list, rebuilt on every update.
@@ -140,12 +140,42 @@ func NewCloud(st *CloudState, mode WitnessMode) (*Cloud, error) {
 	}
 	c.addPrimes(st.Primes)
 	if mode == WitnessCached {
-		c.rebuildWitnesses()
+		if err := c.adoptWitnesses(st.Witnesses); err != nil {
+			return nil, err
+		}
 	}
 	if mode == WitnessOnDemand {
 		c.resetTree()
 	}
 	return c, nil
+}
+
+// adoptWitnesses installs the owner's witnesses, parallel to c.primes, once
+// every one passes VerifyMem — one 128-bit modexp each, about 1/log|X| of
+// RootFactor, fanned out across the cores — and otherwise fails naming the
+// first bad index. Given none, the cloud computes them with RootFactor.
+func (c *Cloud) adoptWitnesses(ws []*big.Int) error {
+	if len(ws) == 0 {
+		c.rebuildWitnesses()
+		return nil
+	}
+	if len(ws) != len(c.primes) {
+		return fmt.Errorf("core: %d witnesses for %d primes", len(ws), len(c.primes))
+	}
+	err := ForEachIndexed(len(ws), runtime.GOMAXPROCS(0), func(i int) error {
+		if !c.accPub.VerifyMem(c.ac, c.primes[i], ws[i]) {
+			return fmt.Errorf("core: witness %d does not verify against Ac", i)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	c.witnesses = make(map[string]*witEntry, len(ws))
+	for i, w := range ws {
+		c.witnesses[string(c.primes[i].Bytes())] = &witEntry{w: new(big.Int).Set(w)}
+	}
+	return nil
 }
 
 // SearchCalls reports how many Search requests the cloud has served — one

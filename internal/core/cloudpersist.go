@@ -59,15 +59,13 @@ func (c *Cloud) Marshal() ([]byte, error) {
 }
 
 // UnmarshalCloud reconstructs a Cloud serialized with Marshal. Persisted
-// witnesses are verified against the accumulation value before use, so a
-// corrupted state file degrades to an error instead of invalid proofs.
+// witnesses are verified against the accumulation value before use, as
+// NewCloud verifies shipped ones, so a corrupted state file degrades to an
+// error instead of invalid proofs.
 func UnmarshalCloud(data []byte) (*Cloud, error) {
 	var st cloudState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("core: parse cloud state: %w", err)
-	}
-	if err := st.Params.validate(); err != nil {
-		return nil, err
 	}
 	accPub, err := accumulator.UnmarshalPublic(st.AccPub)
 	if err != nil {
@@ -81,42 +79,29 @@ func UnmarshalCloud(data []byte) (*Cloud, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: cloud state: %w", err)
 	}
-	mode := WitnessMode(st.Mode)
-	if mode != WitnessCached && mode != WitnessOnDemand {
-		return nil, fmt.Errorf("core: cloud state: unknown witness mode %d", st.Mode)
+	cs := &CloudState{
+		Params:         st.Params,
+		AccumulatorPub: accPub,
+		TrapdoorPub:    tpk,
+		Index:          ix,
+		Primes:         decodeInts(st.Primes),
+		Ac:             new(big.Int).SetBytes(st.Ac),
 	}
-	c := &Cloud{
-		params:   st.Params,
-		accPub:   accPub,
-		tpk:      tpk,
-		index:    ix,
-		primeSet: make(map[string]int, len(st.Primes)),
-		ac:       new(big.Int).SetBytes(st.Ac),
-		mode:     mode,
+	if len(st.Witnesses) == len(st.Primes) {
+		// A cache of any other length is lost or stale: rebuild it.
+		cs.Witnesses = decodeInts(st.Witnesses)
 	}
-	primes := make([]*big.Int, len(st.Primes))
-	for i, p := range st.Primes {
-		primes[i] = new(big.Int).SetBytes(p)
-	}
-	c.addPrimes(primes)
-
-	if mode == WitnessCached {
-		if len(st.Witnesses) != len(primes) {
-			// Cache lost or stale: rebuild from scratch.
-			c.rebuildWitnesses()
-			return c, nil
-		}
-		c.witnesses = make(map[string]*witEntry, len(primes))
-		for i, wb := range st.Witnesses {
-			w := new(big.Int).SetBytes(wb)
-			if !accPub.VerifyMem(c.ac, primes[i], w) {
-				return nil, fmt.Errorf("core: cloud state: persisted witness %d is invalid", i)
-			}
-			c.witnesses[string(primes[i].Bytes())] = &witEntry{w: w}
-		}
-	}
-	if mode == WitnessOnDemand {
-		c.resetTree()
+	c, err := NewCloud(cs, WitnessMode(st.Mode))
+	if err != nil {
+		return nil, fmt.Errorf("core: cloud state: %w", err)
 	}
 	return c, nil
+}
+
+func decodeInts(bs [][]byte) []*big.Int {
+	out := make([]*big.Int, len(bs))
+	for i, b := range bs {
+		out[i] = new(big.Int).SetBytes(b)
+	}
+	return out
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/big"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -321,4 +323,39 @@ func FuzzWitnessRefreshLazyVsOnDemand(f *testing.F) {
 		}
 		checkPersistedAgainstReference(t, owner, lazy, ref)
 	})
+}
+
+// TestNewCloudRejectsBadShippedWitness flips one of the owner's shipped
+// witnesses: a cached cloud checks every witness before adopting any, so
+// init fails and names the index, where a cloud that rebuilt its own would
+// never have read it. An on-demand cloud does not read them at all.
+func TestNewCloudRejectsBadShippedWitness(t *testing.T) {
+	owner, err := NewOwner(testParams(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := owner.Build(lazyDB(12, 8, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = 3
+	st := owner.CloudInit(out.Index)
+	if len(st.Witnesses) != len(st.Primes) || len(st.Primes) <= bad {
+		t.Fatalf("CloudInit shipped %d witnesses for %d primes", len(st.Witnesses), len(st.Primes))
+	}
+	if _, err := NewCloud(st, WitnessCached); err != nil {
+		t.Fatalf("NewCloud with the owner's witnesses: %v", err)
+	}
+	st.Witnesses[bad].Add(st.Witnesses[bad], big.NewInt(1))
+	_, err = NewCloud(st, WitnessCached)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("witness %d ", bad)) {
+		t.Fatalf("flipped witness %d: NewCloud error = %v", bad, err)
+	}
+	if _, err := NewCloud(st, WitnessOnDemand); err != nil {
+		t.Fatalf("on-demand cloud read the shipped witnesses: %v", err)
+	}
+	st.Witnesses = st.Witnesses[:bad]
+	if _, err := NewCloud(st, WitnessCached); err == nil {
+		t.Fatal("NewCloud accepted fewer witnesses than primes")
+	}
 }

@@ -82,6 +82,9 @@ type CloudState struct {
 	Index          *store.Index
 	Primes         []*big.Int
 	Ac             *big.Int
+	// Witnesses is parallel to Primes. A cached cloud checks and adopts
+	// them; when they are absent it computes them itself with RootFactor.
+	Witnesses []*big.Int
 }
 
 // NewOwner generates a fresh deployment: master PRF key, record-encryption
@@ -389,7 +392,8 @@ func (o *Owner) insert(db []Record) (*UpdateOutput, error) {
 }
 
 // CloudInit exports the full cloud state after Build (and any number of
-// Inserts). Use the per-call UpdateOutput deltas for incremental shipping.
+// Inserts), with every prime's witness. Use the per-call UpdateOutput
+// deltas for incremental shipping.
 func (o *Owner) CloudInit(full *store.Index) *CloudState {
 	return &CloudState{
 		Params:         o.params,
@@ -398,7 +402,24 @@ func (o *Owner) CloudInit(full *store.Index) *CloudState {
 		Index:          full,
 		Primes:         clonePrimes(o.primes),
 		Ac:             o.Ac(),
+		Witnesses:      o.witnesses(),
 	}
+}
+
+// witnesses computes every prime's witness with the accumulator trapdoor,
+// one index per task across the cores. Nil (a trapdoor that does not
+// factor n) leaves the cloud to compute them.
+func (o *Owner) witnesses() []*big.Int {
+	witness, err := o.acc.Witnesses(o.primes)
+	if err != nil {
+		return nil
+	}
+	ws := make([]*big.Int, len(o.primes))
+	_ = ForEachIndexed(len(ws), runtime.GOMAXPROCS(0), func(i int) error {
+		ws[i] = witness(i)
+		return nil
+	})
+	return ws
 }
 
 // statsNow feeds the UpdateStats instrumentation timings only; no

@@ -73,16 +73,21 @@ func (c *primeCache) lookup(key [sha256.Size]byte) (cachedPrime, bool) {
 	e, ok := c.prev[key]
 	c.mu.RUnlock()
 	if ok {
-		c.store(key, e) // promote so hot entries survive rotation
+		c.store(key, e, false) // promote so hot entries survive rotation
 	}
 	return e, ok
 }
 
-func (c *primeCache) store(key [sha256.Size]byte, e cachedPrime) {
+// store memoizes e under key. With clone set, e.prime is still the caller's
+// and is copied, but only once the memo is known to keep it.
+func (c *primeCache) store(key [sha256.Size]byte, e cachedPrime, clone bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.capacity <= 0 {
 		return
+	}
+	if clone {
+		e.prime = new(big.Int).Set(e.prime)
 	}
 	if len(c.cur) >= c.capacity {
 		c.prev = c.cur

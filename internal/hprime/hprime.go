@@ -94,7 +94,7 @@ func HashCount(data []byte) (*big.Int, int) {
 	hi := binary.BigEndian.Uint64(digest[:]) | 1<<63
 	lo := binary.BigEndian.Uint64(digest[8:]) | 1
 	prime, probes := probe(hi, lo)
-	cache.store(digest, cachedPrime{prime: new(big.Int).Set(prime), probes: probes})
+	cache.store(digest, cachedPrime{prime: prime, probes: probes}, true)
 	return prime, probes
 }
 
@@ -145,8 +145,10 @@ func probe(hi, lo uint64) (*big.Int, int) {
 
 // fromWords returns hi·2^64 + lo.
 func fromWords(hi, lo uint64) *big.Int {
-	n := new(big.Int).SetUint64(hi)
-	return n.Lsh(n, 64).Or(n, new(big.Int).SetUint64(lo))
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], hi)
+	binary.BigEndian.PutUint64(b[8:], lo)
+	return new(big.Int).SetBytes(b[:])
 }
 
 // sprp2 reports whether n = hi·2^64 + lo, odd and with bit 127 set, is a

@@ -35,6 +35,9 @@ type CloudInitMsg struct {
 	Ac          []byte      `json:"ac"`
 	// WitnessCached selects the cloud's witness strategy.
 	WitnessCached bool `json:"witnessCached"`
+	// Witnesses is parallel to Primes and sent only with WitnessCached. A
+	// cloud given none computes them itself.
+	Witnesses [][]byte `json:"witnesses,omitempty"`
 }
 
 // UpdateMsg carries an UpdateOutput delta over the wire.
@@ -69,17 +72,22 @@ type CloudStats struct {
 	AuditHeadHash string `json:"auditHeadHash,omitempty"`
 }
 
-// EncodeCloudInit converts an owner's CloudState into its wire form.
+// EncodeCloudInit converts an owner's CloudState into its wire form. Only a
+// cached cloud is sent the witnesses; an on-demand one would not read them.
 func EncodeCloudInit(st *core.CloudState, cached bool) *CloudInitMsg {
-	return &CloudInitMsg{
+	msg := &CloudInitMsg{
 		Params:        st.Params,
 		AccPub:        st.AccumulatorPub.Marshal(),
 		TrapdoorPub:   st.TrapdoorPub.MarshalPublic(),
 		Index:         st.Index.Marshal(),
-		Primes:        encodePrimes(st.Primes),
+		Primes:        encodeInts(st.Primes),
 		Ac:            st.Ac.Bytes(),
 		WitnessCached: cached,
 	}
+	if cached {
+		msg.Witnesses = encodeInts(st.Witnesses)
+	}
+	return msg
 }
 
 // DecodeCloudInit parses a wire CloudState.
@@ -105,8 +113,9 @@ func DecodeCloudInit(msg *CloudInitMsg) (*core.CloudState, core.WitnessMode, err
 		AccumulatorPub: accPub,
 		TrapdoorPub:    tpk,
 		Index:          ix,
-		Primes:         decodePrimes(msg.Primes),
+		Primes:         decodeInts(msg.Primes),
 		Ac:             new(big.Int).SetBytes(msg.Ac),
+		Witnesses:      decodeInts(msg.Witnesses),
 	}, mode, nil
 }
 
@@ -114,7 +123,7 @@ func DecodeCloudInit(msg *CloudInitMsg) (*core.CloudState, core.WitnessMode, err
 func EncodeUpdate(out *core.UpdateOutput) *UpdateMsg {
 	return &UpdateMsg{
 		Index:  out.Index.Marshal(),
-		Primes: encodePrimes(out.Primes),
+		Primes: encodeInts(out.Primes),
 		Ac:     out.Ac.Bytes(),
 	}
 }
@@ -127,20 +136,20 @@ func DecodeUpdate(msg *UpdateMsg) (*core.UpdateOutput, error) {
 	}
 	return &core.UpdateOutput{
 		Index:  ix,
-		Primes: decodePrimes(msg.Primes),
+		Primes: decodeInts(msg.Primes),
 		Ac:     new(big.Int).SetBytes(msg.Ac),
 	}, nil
 }
 
-func encodePrimes(primes []*big.Int) [][]byte {
-	out := make([][]byte, len(primes))
-	for i, p := range primes {
-		out[i] = p.Bytes()
+func encodeInts(xs []*big.Int) [][]byte {
+	out := make([][]byte, len(xs))
+	for i, x := range xs {
+		out[i] = x.Bytes()
 	}
 	return out
 }
 
-func decodePrimes(raw [][]byte) []*big.Int {
+func decodeInts(raw [][]byte) []*big.Int {
 	out := make([]*big.Int, len(raw))
 	for i, b := range raw {
 		out[i] = new(big.Int).SetBytes(b)

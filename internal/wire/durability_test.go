@@ -103,6 +103,34 @@ func TestCloudServerDurableRestart(t *testing.T) {
 // it, replay it after a restart, and serve responses byte-identical to a
 // cloud initialized with the current message.
 func TestLegacyCloudInitBootsAndReplays(t *testing.T) {
+	initBootsAndReplays(t, func(msg map[string]any) {
+		legacy := msg["params"].(map[string]any)
+		legacy["SearchWorkers"] = 3
+		legacy["EagerWitnessRefresh"] = true
+		legacy["RebuildThreshold"] = 8
+		legacy["FixedBaseTeeth"] = 6
+	})
+}
+
+// TestCloudInitWithoutWitnessesBootsAndReplays sends a cached cloud.init
+// without the owner's witnesses, as a client, or a WAL record, from before
+// they were shipped does. The server must compute them itself, live and on
+// replay, and answer byte for byte as a cloud that was given them.
+func TestCloudInitWithoutWitnessesBootsAndReplays(t *testing.T) {
+	initBootsAndReplays(t, func(msg map[string]any) {
+		if _, ok := msg["witnesses"]; !ok {
+			t.Fatal("a cached cloud.init carries no witnesses")
+		}
+		delete(msg, "witnesses")
+	})
+}
+
+// initBootsAndReplays inits a durable cloud with the owner's cached
+// cloud.init edited by edit, applies an update, and requires the cloud, live
+// and replayed after a restart, to be a cached one that answers like a
+// reference cloud initialized with the unedited message.
+func initBootsAndReplays(t *testing.T, edit func(msg map[string]any)) {
+	t.Helper()
 	params := core.Params{Bits: 8, TrapdoorBits: 256, AccumulatorBits: 256}
 	owner, err := core.NewOwner(params)
 	if err != nil {
@@ -120,12 +148,8 @@ func TestLegacyCloudInitBootsAndReplays(t *testing.T) {
 	if err := json.Unmarshal(raw, &msg); err != nil {
 		t.Fatal(err)
 	}
-	legacy := msg["params"].(map[string]any)
-	legacy["SearchWorkers"] = 3
-	legacy["EagerWitnessRefresh"] = true
-	legacy["RebuildThreshold"] = 8
-	legacy["FixedBaseTeeth"] = 6
-	legacyInit, err := json.Marshal(msg)
+	edit(msg)
+	editedInit, err := json.Marshal(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +170,8 @@ func TestLegacyCloudInitBootsAndReplays(t *testing.T) {
 	}
 	fsys := durable.NewMemFS()
 	srv1, cli1, _ := durableCloud(t, fsys, "cloud", DurabilityOptions{Fsync: durable.FsyncNever})
-	if err := cli1.c.Call(MethodCloudInit, json.RawMessage(legacyInit), nil); err != nil {
-		t.Fatalf("legacy init: %v", err)
+	if err := cli1.c.Call(MethodCloudInit, json.RawMessage(editedInit), nil); err != nil {
+		t.Fatalf("edited init: %v", err)
 	}
 	batch := workload.Generate(workload.Config{N: 6, Bits: 8, Seed: 18, FirstID: 5000})
 	up, err := owner.Insert(batch)
@@ -163,8 +187,23 @@ func TestLegacyCloudInitBootsAndReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := func(when string, cli *CloudClient) {
+	same := func(when string, srv *CloudServer, cli *CloudClient) {
 		t.Helper()
+		cloud, err := srv.get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := cloud.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st struct{ Mode core.WitnessMode }
+		if err := json.Unmarshal(snap, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Mode != core.WitnessCached {
+			t.Fatalf("%s: cloud runs witness mode %d, want cached", when, st.Mode)
+		}
 		for _, q := range []core.Query{core.Less(100), core.Greater(30), core.Equal(batch[0].Attrs[0].Value)} {
 			req, err := user.Token(q)
 			if err != nil {
@@ -181,11 +220,11 @@ func TestLegacyCloudInitBootsAndReplays(t *testing.T) {
 			rawWant, _ := json.Marshal(want)
 			rawGot, _ := json.Marshal(got)
 			if !bytes.Equal(rawGot, rawWant) {
-				t.Fatalf("%s: query %v: legacy-init cloud answers differently", when, q)
+				t.Fatalf("%s: query %v: edited-init cloud answers differently", when, q)
 			}
 		}
 	}
-	same("live", cli1)
+	same("live", srv1, cli1)
 	cli1.Close()
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
@@ -193,10 +232,10 @@ func TestLegacyCloudInitBootsAndReplays(t *testing.T) {
 	srv2, cli2, stats := durableCloud(t, fsys, "cloud", DurabilityOptions{})
 	defer srv2.Close()
 	defer cli2.Close()
-	if stats.Replayed != 2 || stats.Skipped != 0 { // legacy init + update
+	if stats.Replayed != 2 || stats.Skipped != 0 { // edited init + update
 		t.Fatalf("recovery stats %+v, want 2 replayed", stats)
 	}
-	same("replayed", cli2)
+	same("replayed", srv2, cli2)
 }
 
 func TestCloudServerSnapshotTriggerCompactsWAL(t *testing.T) {

@@ -3,7 +3,9 @@
 # PARENT_REF and of the working tree, interleaved and with the side that goes
 # first swapped every seed, then the benchmark's own --compare of the two
 # result sets. benchmark/runset.sh cannot do this: it runs one commit's
-# seeds back to back, so the box's drift lands on one side. The parent is
+# seeds back to back, so the box's drift lands on one side. An odd SEEDS is
+# rounded up to the next even number, so each side goes first equally often
+# (churn-durable's search rows follow run order within a pair). The parent is
 # exported with git archive under .bench_build/pair/ (already ignored, and
 # wiped on the next call); both sides build themselves through run.sh.
 # TRACE=1 runs the traced pairs instead and prints both sides' per-layer
@@ -14,10 +16,14 @@
 # copy of the contract cut down to WORKLOAD (the program looks for
 # BENCHMARK.json in its working directory).
 #
-#	bash ci/bench_pair.sh PARENT_REF WORKLOAD [SEEDS=3]
+#	bash ci/bench_pair.sh PARENT_REF WORKLOAD [SEEDS=4]
 set -euo pipefail
 
-parent_ref="$1"; workload="$2"; seeds="${3:-3}"; trace="${TRACE:-0}"
+parent_ref="$1"; workload="$2"; seeds="${3:-4}"; trace="${TRACE:-0}"
+if ((seeds % 2)); then
+	echo "SEEDS=$seeds is odd: running $((seeds + 1)) seeds so each side goes first in half of them"
+	seeds=$((seeds + 1))
+fi
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 pair="$root/.bench_build/pair"
 rm -rf "$pair"
@@ -32,8 +38,10 @@ run() { # run SIDE CHECKOUT: one run of the current seed, appended to SIDE.jsonl
 }
 for ((seed = 1; seed <= seeds; seed++)); do
 	if ((seed % 2)); then
+		echo "==== seed $seed: parent→change"
 		run parent "$pair/parent"; run change "$root"
 	else
+		echo "==== seed $seed: change→parent"
 		run change "$root"; run parent "$pair/parent"
 	fi
 done

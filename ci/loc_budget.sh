@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-CEILING=28132
+CEILING=28274
 sources() { find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' "$@"; }
 lines=$(sources -print0 | xargs -0 cat | wc -l)
 echo "root-module non-test Go lines: $lines (ceiling $CEILING)"

@@ -201,11 +201,11 @@ func (p *Params) AddFast(ac *big.Int, primes []*big.Int) (*big.Int, error) {
 // primes[i], the value RootFactor(primes)[i] is, from the factorization
 // trapdoor (owner only). It recovers p and q from (n, φ(n)) once and
 // reduces every E_i = Π_{j≠i} x_j modulo p−1 and q−1 from prefix and suffix
-// products, so each witness is two half-width modexps, g^E_i mod p and mod
-// q, joined by Garner's CRT step. No inverse is taken, so a prime dividing
-// p−1 or q−1 needs no special case. The function is safe for concurrent
-// use; primes must not change while it is. g must be a unit mod n, as
-// Setup's is.
+// products, so each witness is two half-width exponentiations, g^E_i mod p
+// and mod q, joined by Garner's CRT step. No inverse is taken, so a prime
+// dividing p−1 or q−1 needs no special case. The function is safe for
+// concurrent use; primes must not change while it is. g must be a unit mod
+// n, as Setup's is.
 func (p *Params) Witnesses(primes []*big.Int) (func(i int) *big.Int, error) {
 	if p.phi == nil {
 		return nil, errors.New("accumulator: witnesses require the factorization trapdoor")
@@ -225,29 +225,60 @@ func (p *Params) Witnesses(primes []*big.Int) (func(i int) *big.Int, error) {
 		qInv.ModInverse(fq, fp) == nil {
 		return nil, errors.New("accumulator: φ(n) does not factor n")
 	}
-	half := func(f *big.Int) func(i int) *big.Int {
-		m := new(big.Int).Sub(f, one)
-		e := make([]*big.Int, len(primes))
-		acc := big.NewInt(1)
-		for i, x := range primes { // e[i] = Π_{j<i} x_j mod m
-			e[i] = new(big.Int).Set(acc)
-			acc.Mul(acc, x).Mod(acc, m)
-		}
-		acc.SetInt64(1)
-		for i := len(primes) - 1; i >= 0; i-- { // times Π_{j>i} x_j
-			e[i].Mul(e[i], acc).Mod(e[i], m)
-			acc.Mul(acc, primes[i]).Mod(acc, m)
-		}
-		g := new(big.Int).Mod(p.G, f)
-		// By Fermat, g^e[i] ≡ g^(Π_{j≠i} x_j) (mod f).
-		return func(i int) *big.Int { return new(big.Int).Exp(g, e[i], f) }
+	expP, err := crtHalf(fp, p.G, primes)
+	if err != nil {
+		return nil, err
 	}
-	expP, expQ := half(fp), half(fq)
+	expQ, err := crtHalf(fq, p.G, primes)
+	if err != nil {
+		return nil, err
+	}
 	return func(i int) *big.Int {
 		wp, wq := expP(i), expQ(i)
 		// The one value below n that is wp mod p and wq mod q.
 		wp.Sub(wp, wq).Mul(wp, qInv).Mod(wp, fp)
 		return wp.Mul(wp, fq).Add(wp, wq)
+	}, nil
+}
+
+// witnessCombTeeth is the comb width over g mod p and g mod q. A whole
+// witness set exponentiates each base |X| times, so a wider table than the
+// capacity-based default pays: 8 teeth took 0.43 s for 8,192 witnesses at
+// 512 bits where the default 4 took 0.59 s (BenchmarkWitnesses).
+const witnessCombTeeth = 8
+
+// crtHalf returns i ↦ g^E_i mod f for a prime factor f of n, where E_i is
+// Π_{j≠i} x_j reduced mod f−1 (by Fermat the power is the same). The E_i
+// sit in one flat word array, k words each, rather than in |X| big.Ints,
+// and the powers come from a comb over g mod f: together they cut the
+// garbage of a witness set about sixfold (BenchmarkWitnesses, B/op).
+func crtHalf(f, g *big.Int, primes []*big.Int) (func(i int) *big.Int, error) {
+	m := new(big.Int).Sub(f, one)
+	k := len(m.Bits())
+	flat := make([]big.Word, len(primes)*k)
+	slot := func(i int) []big.Word { return flat[i*k : (i+1)*k : (i+1)*k] }
+	mc := modCtx{n: m}
+	acc, r := big.NewInt(1), new(big.Int)
+	for i, x := range primes { // slot i = Π_{j<i} x_j mod m
+		copy(slot(i), acc.Bits())
+		mc.mul(acc, acc, x)
+	}
+	acc.SetInt64(1)
+	var pre big.Int
+	for i := len(primes) - 1; i >= 0; i-- { // times Π_{j>i} x_j
+		s := slot(i)
+		mc.mul(r, pre.SetBits(s), acc)
+		clear(s[copy(s, r.Bits()):])
+		mc.mul(acc, acc, primes[i])
+	}
+	gf := new(big.Int).Mod(g, f)
+	fb, err := (&PublicParams{N: f, G: gf}).NewFixedBase(gf, m.BitLen(), witnessCombTeeth)
+	if err != nil {
+		return nil, err
+	}
+	return func(i int) *big.Int {
+		var e big.Int
+		return fb.Exp(e.SetBits(slot(i)))
 	}, nil
 }
 
@@ -424,6 +455,21 @@ func (pp *PublicParams) Size() int { return (pp.N.BitLen() + 7) / 8 }
 // EncodeValue serializes an accumulator value or witness at fixed width.
 func (pp *PublicParams) EncodeValue(v *big.Int) []byte {
 	return v.FillBytes(make([]byte, pp.Size()))
+}
+
+// PackValues lays big-endian values side by side at Size() bytes each, the
+// form a whole witness set travels and is checked in. A value wider than
+// Size() is an error.
+func (pp *PublicParams) PackValues(vals [][]byte) ([]byte, error) {
+	size := pp.Size()
+	out := make([]byte, len(vals)*size)
+	for i, v := range vals {
+		if len(v) > size {
+			return nil, fmt.Errorf("accumulator: value %d is %d bytes, wider than %d", i, len(v), size)
+		}
+		copy(out[(i+1)*size-len(v):], v)
+	}
+	return out, nil
 }
 
 // DecodeValue parses a fixed-width accumulator value or witness.

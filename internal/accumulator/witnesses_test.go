@@ -153,6 +153,8 @@ func FuzzWitnessesMatchRootFactor(f *testing.F) {
 
 // BenchmarkWitnesses times the owner's CRT witnesses for a whole set,
 // serially, beside BenchmarkRootFactor's public rebuild of the same set.
+// Both report allocations: a set's garbage is what a witness-bearing
+// update adds to the owner's heap.
 func BenchmarkWitnesses(b *testing.B) {
 	benchWitnessSets(b, func(p *Params, primes []*big.Int) { allWitnesses(b, p, primes) })
 }
@@ -167,11 +169,32 @@ func benchWitnessSets(b *testing.B, run func(*Params, []*big.Int)) {
 			b.Run(fmt.Sprintf("%d-bit/%d", bits, n), func(b *testing.B) {
 				p := witSetup(b, bits)
 				primes := fpPrimes(n, "bench-witnesses")
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					run(p, primes)
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkVerifyMem times the check a cached cloud runs on every shipped
+// witness: one exponentiation by a 128-bit prime modulo n.
+func BenchmarkVerifyMem(b *testing.B) {
+	for _, bits := range []int{512, 1024} {
+		b.Run(fmt.Sprintf("%d-bit", bits), func(b *testing.B) {
+			p := witSetup(b, bits)
+			primes := fpPrimes(2, "bench-verify")
+			ac := p.Accumulate(primes)
+			w := allWitnesses(b, p, primes)[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !p.VerifyMem(ac, primes[0], w) {
+					b.Fatal("witness does not verify")
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -64,6 +65,7 @@ type Cloud struct {
 	mode          WitnessMode
 	wtree         *accumulator.WitnessTree // on-demand mode: memoized RootFactor tree
 	fbG           *accumulator.FixedBase   // comb over g feeding successive wtrees
+	rebuilds      int                      // RootFactor rebuilds run, for tests
 	met           cloudMetrics
 
 	searchCalls atomic.Uint64 // Search invocations, for round-trip accounting
@@ -150,32 +152,62 @@ func NewCloud(st *CloudState, mode WitnessMode) (*Cloud, error) {
 	return c, nil
 }
 
-// adoptWitnesses installs the owner's witnesses, parallel to c.primes, once
-// every one passes VerifyMem — one 128-bit modexp each, about 1/log|X| of
-// RootFactor, fanned out across the cores — and otherwise fails naming the
-// first bad index. Given none, the cloud computes them with RootFactor.
-func (c *Cloud) adoptWitnesses(ws []*big.Int) error {
+// adoptWitnesses installs the owner's witnesses, packed and parallel to
+// c.primes, once every one checks out; given none, the cloud computes them
+// with RootFactor.
+func (c *Cloud) adoptWitnesses(ws []byte) error {
 	if len(ws) == 0 {
 		c.rebuildWitnesses()
 		return nil
 	}
-	if len(ws) != len(c.primes) {
-		return fmt.Errorf("core: %d witnesses for %d primes", len(ws), len(c.primes))
+	if err := c.checkWitnesses(ws, c.primes, c.ac); err != nil {
+		return err
 	}
-	err := ForEachIndexed(len(ws), runtime.GOMAXPROCS(0), func(i int) error {
-		if !c.accPub.VerifyMem(c.ac, c.primes[i], ws[i]) {
+	c.installWitnesses(ws)
+	return nil
+}
+
+// checkWitnesses verifies packed witnesses, parallel to primes, against
+// ac: one VerifyMem each (a 128-bit modexp, about 1/log|X| of RootFactor),
+// decoded and checked inside the fan-out across the cores. It changes
+// nothing, and names the first bad index.
+func (c *Cloud) checkWitnesses(ws []byte, primes []*big.Int, ac *big.Int) error {
+	size := c.accPub.Size()
+	if len(ws) != len(primes)*size {
+		return fmt.Errorf("core: %d bytes of witnesses for %d primes of %d bytes", len(ws), len(primes), size)
+	}
+	return ForEachIndexed(len(primes), runtime.GOMAXPROCS(0), func(i int) error {
+		if !c.accPub.VerifyMem(ac, primes[i], new(big.Int).SetBytes(ws[i*size:(i+1)*size])) {
 			return fmt.Errorf("core: witness %d does not verify against Ac", i)
 		}
 		return nil
 	})
-	if err != nil {
-		return err
+}
+
+// installWitnesses adopts checked witnesses, packed and parallel to
+// c.primes. An existing entry is overwritten in place and is then fully
+// current; only primes without one get a new entry. The lazy journal is
+// cleared.
+func (c *Cloud) installWitnesses(ws []byte) {
+	size := c.accPub.Size()
+	if c.witnesses == nil {
+		c.witnesses = make(map[string]*witEntry, len(c.primes))
 	}
-	c.witnesses = make(map[string]*witEntry, len(ws))
-	for i, w := range ws {
-		c.witnesses[string(c.primes[i].Bytes())] = &witEntry{w: new(big.Int).Set(w)}
+	for i, x := range c.primes {
+		w, key := ws[i*size:(i+1)*size], string(x.Bytes())
+		e := c.witnesses[key]
+		if e == nil {
+			c.witnesses[key] = &witEntry{w: new(big.Int).SetBytes(w)}
+			continue
+		}
+		if e.w == nil {
+			e.w = new(big.Int)
+		}
+		e.w.SetBytes(w)
+		e.batch, e.exp, e.epoch = nil, nil, 0
 	}
-	return nil
+	c.journal = nil
+	c.pendingPrimes = 0
 }
 
 // SearchCalls reports how many Search requests the cloud has served — one
@@ -199,25 +231,38 @@ func (c *Cloud) Ac() *big.Int {
 // A cached cloud maintains its witnesses lazily: the batch's prime product
 // is appended to a journal and each witness folds its pending exponents only
 // when next served, so the write-lock window costs O(|X⁺|) regardless of
-// cache size. Once more than max(64, |X|/4) primes are pending the cache is
-// rebuilt wholesale with RootFactor. Either way a served witness is the one
-// value g^(Π_{j≠i} x_j) mod N, byte-identical to what an on-demand cloud
-// derives from its tree.
+// cache size. The insert that takes the pending primes past max(64, |X|/4)
+// carries every witness from the owner (UpdateOutput.Witnesses): the cloud
+// checks each against the new Ac and overwrites its cache. An update past
+// the threshold without them (an older owner, an old WAL record, an owner
+// whose count restarted) rebuilds the cache with RootFactor instead. Either
+// way a served witness is the one value g^(Π_{j≠i} x_j) mod N,
+// byte-identical to what an on-demand cloud derives from its tree.
 //
-// A delta whose index labels collide with stored ones is rejected before
-// anything changes: index, primes and Ac stay as they were.
+// A delta whose index labels collide with stored ones, or whose shipped
+// witnesses do not all verify, is rejected before anything changes: index,
+// primes, witnesses and Ac stay as they were.
 func (c *Cloud) ApplyUpdate(out *UpdateOutput) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.met.updates.Inc()
 	defer c.met.updateDur.ObserveSince(c.met.updateDur.Start())
+	shipped := c.mode == WitnessCached && len(out.Witnesses) > 0
+	if shipped {
+		if err := c.checkWitnesses(out.Witnesses, slices.Concat(c.primes, out.Primes), out.Ac); err != nil {
+			return fmt.Errorf("apply update: %w", err)
+		}
+	}
 	if err := c.index.Merge(out.Index); err != nil {
 		return fmt.Errorf("apply index delta: %w", err)
 	}
-	if c.mode != WitnessCached || len(out.Primes) == 0 {
+	if shipped || c.mode != WitnessCached || len(out.Primes) == 0 {
 		c.addPrimes(out.Primes)
 	} else {
 		c.applyLazy(out.Primes)
+	}
+	if shipped {
+		c.installWitnesses(out.Witnesses)
 	}
 	c.ac = new(big.Int).Set(out.Ac)
 	if c.mode == WitnessOnDemand {
@@ -233,7 +278,7 @@ func (c *Cloud) ApplyUpdate(out *UpdateOutput) error {
 // pre-update accumulation value they all start from, plus a shared comb
 // table over it for large batches.
 func (c *Cloud) applyLazy(newPrimes []*big.Int) {
-	if c.pendingPrimes+len(newPrimes) > rebuildThreshold(len(c.primes)+len(newPrimes)) {
+	if rebuildDue(c.pendingPrimes, len(newPrimes), len(c.primes)+len(newPrimes)) {
 		c.addPrimes(newPrimes)
 		c.rebuildWitnesses()
 		return
@@ -253,8 +298,16 @@ func (c *Cloud) applyLazy(newPrimes []*big.Int) {
 	}
 }
 
+// rebuildDue is the one rule the owner and a cached cloud both apply to an
+// insert of added primes that brings the set to total, with pending primes
+// journaled before it: past rebuildThreshold(total) the owner ships every
+// witness with the insert, and a cloud given none rebuilds them itself.
+func rebuildDue(pending, added, total int) bool {
+	return added > 0 && pending+added > rebuildThreshold(total)
+}
+
 // rebuildThreshold is the pending-prime budget of a cached cloud holding
-// total primes: past it, ApplyUpdate rebuilds instead of journaling.
+// total primes.
 func rebuildThreshold(total int) int {
 	if t := total / 4; t > 64 {
 		return t
@@ -315,6 +368,7 @@ func (c *Cloud) addPrimes(primes []*big.Int) {
 // (O(|X| log |X|) modexps), fanned out across the available cores. It also
 // clears the lazy journal: every rebuilt witness is fully current.
 func (c *Cloud) rebuildWitnesses() {
+	c.rebuilds++
 	c.witnesses = make(map[string]*witEntry, len(c.primes))
 	for i, w := range c.accPub.RootFactorParallel(c.primes, runtime.GOMAXPROCS(0)) {
 		c.witnesses[string(c.primes[i].Bytes())] = &witEntry{w: w}

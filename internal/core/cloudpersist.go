@@ -89,7 +89,9 @@ func UnmarshalCloud(data []byte) (*Cloud, error) {
 	}
 	if len(st.Witnesses) == len(st.Primes) {
 		// A cache of any other length is lost or stale: rebuild it.
-		cs.Witnesses = decodeInts(st.Witnesses)
+		if cs.Witnesses, err = accPub.PackValues(st.Witnesses); err != nil {
+			return nil, fmt.Errorf("core: cloud state: %w", err)
+		}
 	}
 	c, err := NewCloud(cs, WitnessMode(st.Mode))
 	if err != nil {

@@ -340,13 +340,14 @@ func TestNewCloudRejectsBadShippedWitness(t *testing.T) {
 	}
 	const bad = 3
 	st := owner.CloudInit(out.Index)
-	if len(st.Witnesses) != len(st.Primes) || len(st.Primes) <= bad {
-		t.Fatalf("CloudInit shipped %d witnesses for %d primes", len(st.Witnesses), len(st.Primes))
+	size := st.AccumulatorPub.Size()
+	if len(st.Witnesses) != len(st.Primes)*size || len(st.Primes) <= bad {
+		t.Fatalf("CloudInit shipped %d bytes of witnesses for %d primes", len(st.Witnesses), len(st.Primes))
 	}
 	if _, err := NewCloud(st, WitnessCached); err != nil {
 		t.Fatalf("NewCloud with the owner's witnesses: %v", err)
 	}
-	st.Witnesses[bad].Add(st.Witnesses[bad], big.NewInt(1))
+	st.Witnesses[(bad+1)*size-1] ^= 1
 	_, err = NewCloud(st, WitnessCached)
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("witness %d ", bad)) {
 		t.Fatalf("flipped witness %d: NewCloud error = %v", bad, err)
@@ -354,8 +355,140 @@ func TestNewCloudRejectsBadShippedWitness(t *testing.T) {
 	if _, err := NewCloud(st, WitnessOnDemand); err != nil {
 		t.Fatalf("on-demand cloud read the shipped witnesses: %v", err)
 	}
-	st.Witnesses = st.Witnesses[:bad]
+	st.Witnesses = st.Witnesses[:bad*size]
 	if _, err := NewCloud(st, WitnessCached); err == nil {
 		t.Fatal("NewCloud accepted fewer witnesses than primes")
 	}
+}
+
+// servedWitnesses returns the witness c serves for every prime of its set,
+// in prime-list order.
+func servedWitnesses(t *testing.T, c *Cloud) [][]byte {
+	t.Helper()
+	c.mu.RLock()
+	primes := append([]*big.Int(nil), c.primes...)
+	c.mu.RUnlock()
+	out := make([][]byte, len(primes))
+	for i, x := range primes {
+		w, err := c.WitnessForPrime(x)
+		if err != nil {
+			t.Fatalf("witness %d: %v", i, err)
+		}
+		out[i] = w
+	}
+	return out
+}
+
+// TestOwnerShipsWitnessesAtThreshold drives an owner and a cached cloud
+// across several rebuild thresholds. The owner's insert that crosses one
+// carries every witness, so the cloud never runs RootFactor, set-up
+// included; right after a ship its journal is empty, and at every step it
+// serves exactly the witnesses of an on-demand cloud.
+func TestOwnerShipsWitnessesAtThreshold(t *testing.T) {
+	const bits = 8
+	owner, err := NewOwner(testParams(bits))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := owner.Build(lazyDB(30, bits, 44))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Witnesses != nil {
+		t.Fatal("Build carried witnesses")
+	}
+	lazy, ref := lazyOnDemandPair(t, owner, out)
+	ships := 0
+	for step := 0; ships < 3; step++ {
+		if step == 40 {
+			t.Fatalf("40 inserts shipped witnesses %d times, want 3", ships)
+		}
+		batch := make([]Record, 3)
+		for i := range batch {
+			batch[i] = NewRecord(uint64(5000+step*10+i), uint64(step*37+i*11)%(1<<bits))
+		}
+		upd, err := owner.Insert(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*Cloud{lazy, ref} {
+			if err := c.ApplyUpdate(upd); err != nil {
+				t.Fatalf("step %d: ApplyUpdate: %v", step, err)
+			}
+		}
+		lazy.mu.RLock()
+		rebuilds, pending, epochs := lazy.rebuilds, lazy.pendingPrimes, len(lazy.journal)
+		lazy.mu.RUnlock()
+		if rebuilds != 0 {
+			t.Fatalf("step %d: the cached cloud ran %d RootFactor rebuilds", step, rebuilds)
+		}
+		if upd.Witnesses != nil {
+			ships++
+			if pending != 0 || epochs != 0 {
+				t.Fatalf("step %d: a ship left %d primes pending in %d epochs", step, pending, epochs)
+			}
+		}
+		got, want := servedWitnesses(t, lazy), servedWitnesses(t, ref)
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("step %d: witness %d differs from the on-demand cloud's", step, i)
+			}
+		}
+	}
+}
+
+// TestApplyUpdateRejectsBadShippedWitness flips one byte of a shipped
+// witness: the update fails naming the index and leaves the cloud exactly
+// as it was, and the intact update then applies, so no half-merged index
+// was left behind.
+func TestApplyUpdateRejectsBadShippedWitness(t *testing.T) {
+	const bits = 8
+	d := deploy(t, bits, lazyDB(30, bits, 45), WitnessCached)
+	var upd *UpdateOutput
+	for step := 0; upd == nil; step++ {
+		if step == 40 {
+			t.Fatal("40 inserts never shipped witnesses")
+		}
+		batch := make([]Record, 3)
+		for i := range batch {
+			batch[i] = NewRecord(uint64(6000+step*10+i), uint64(step*29+i*13)%(1<<bits))
+		}
+		next, err := d.owner.Insert(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.Witnesses != nil {
+			upd = next
+			break
+		}
+		if err := d.cloud.ApplyUpdate(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const bad = 5
+	size := d.owner.AccumulatorPub().Size()
+	indexLen, primes, ac := d.cloud.IndexLen(), d.cloud.PrimeCount(), d.cloud.Ac()
+	served := servedWitnesses(t, d.cloud)
+
+	upd.Witnesses[(bad+1)*size-1] ^= 1
+	err := d.cloud.ApplyUpdate(upd)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("witness %d ", bad)) {
+		t.Fatalf("flipped witness %d: ApplyUpdate error = %v", bad, err)
+	}
+	if d.cloud.IndexLen() != indexLen || d.cloud.PrimeCount() != primes || d.cloud.Ac().Cmp(ac) != 0 {
+		t.Fatal("a rejected update changed the index, the primes or Ac")
+	}
+	for i, w := range servedWitnesses(t, d.cloud) {
+		if !bytes.Equal(w, served[i]) {
+			t.Fatalf("a rejected update changed served witness %d", i)
+		}
+	}
+
+	upd.Witnesses[(bad+1)*size-1] ^= 1
+	if err := d.cloud.ApplyUpdate(upd); err != nil {
+		t.Fatalf("the intact update after a rejected one: %v", err)
+	}
+	d.user.UpdateStates(d.owner.StatesSnapshot())
+	d.search(t, Greater(0))
+	d.search(t, Less(200))
 }

@@ -36,6 +36,10 @@ type Owner struct {
 	seen      map[uint64]struct{}   // inserted record IDs
 	built     bool
 	lastStats UpdateStats
+	// pending counts the primes inserted since the last witness-bearing
+	// insert, the count a cached cloud journals. It is not persisted: an
+	// owner restored from Marshal starts it at 0.
+	pending int
 }
 
 // UpdateStats reports how the last Build or Insert call's time split
@@ -62,6 +66,11 @@ type UpdateOutput struct {
 	Index  *store.Index
 	Primes []*big.Int
 	Ac     *big.Int
+	// Witnesses is set only on the insert that takes the pending primes
+	// past the rebuild threshold (never by Build): every prime's witness,
+	// parallel to the cloud's prime list after the update, packed at
+	// AccumulatorPub().Size() bytes each.
+	Witnesses []byte
 }
 
 // ClientState is the package the owner hands to an authorized data user:
@@ -82,9 +91,10 @@ type CloudState struct {
 	Index          *store.Index
 	Primes         []*big.Int
 	Ac             *big.Int
-	// Witnesses is parallel to Primes. A cached cloud checks and adopts
-	// them; when they are absent it computes them itself with RootFactor.
-	Witnesses []*big.Int
+	// Witnesses is parallel to Primes, packed at AccumulatorPub.Size()
+	// bytes each. A cached cloud checks and adopts them; when they are
+	// absent it computes them itself with RootFactor.
+	Witnesses []byte
 }
 
 // NewOwner generates a fresh deployment: master PRF key, record-encryption
@@ -388,7 +398,17 @@ func (o *Owner) insert(db []Record) (*UpdateOutput, error) {
 	for _, rec := range db {
 		o.seen[rec.ID] = struct{}{}
 	}
-	return &UpdateOutput{Index: ix, Primes: clonePrimes(newPrimes), Ac: o.Ac()}, nil
+	out := &UpdateOutput{Index: ix, Primes: clonePrimes(newPrimes), Ac: o.Ac()}
+	if o.built {
+		// The cloud's own rule on the same counts: the insert that would make
+		// a cached cloud rebuild carries the witnesses instead.
+		if rebuildDue(o.pending, len(newPrimes), len(o.primes)) {
+			out.Witnesses, o.pending = o.witnesses(), 0
+		} else {
+			o.pending += len(newPrimes)
+		}
+	}
+	return out, nil
 }
 
 // CloudInit exports the full cloud state after Build (and any number of
@@ -407,16 +427,18 @@ func (o *Owner) CloudInit(full *store.Index) *CloudState {
 }
 
 // witnesses computes every prime's witness with the accumulator trapdoor,
-// one index per task across the cores. Nil (a trapdoor that does not
-// factor n) leaves the cloud to compute them.
-func (o *Owner) witnesses() []*big.Int {
+// one index per task across the cores, each written straight into its
+// fixed-width slot of one buffer. Nil (a trapdoor that does not factor n)
+// leaves the cloud to compute them.
+func (o *Owner) witnesses() []byte {
 	witness, err := o.acc.Witnesses(o.primes)
 	if err != nil {
 		return nil
 	}
-	ws := make([]*big.Int, len(o.primes))
-	_ = ForEachIndexed(len(ws), runtime.GOMAXPROCS(0), func(i int) error {
-		ws[i] = witness(i)
+	size := o.acc.Size()
+	ws := make([]byte, len(o.primes)*size)
+	_ = ForEachIndexed(len(o.primes), runtime.GOMAXPROCS(0), func(i int) error {
+		witness(i).FillBytes(ws[i*size : (i+1)*size])
 		return nil
 	})
 	return ws

@@ -36,7 +36,9 @@ type CloudInitMsg struct {
 	// WitnessCached selects the cloud's witness strategy.
 	WitnessCached bool `json:"witnessCached"`
 	// Witnesses is parallel to Primes and sent only with WitnessCached. A
-	// cloud given none computes them itself.
+	// cloud given none computes them itself. It stays an array of values,
+	// as written by clients and WAL records from before updates carried
+	// witnesses; each value is at most AccPub's Size() bytes.
 	Witnesses [][]byte `json:"witnesses,omitempty"`
 }
 
@@ -45,6 +47,10 @@ type UpdateMsg struct {
 	Index  []byte   `json:"index"`
 	Primes [][]byte `json:"primes"`
 	Ac     []byte   `json:"ac"`
+	// Witnesses rides only on the insert that crosses the rebuild
+	// threshold: every prime's witness after the update, in one string of
+	// fixed-width values (core.UpdateOutput.Witnesses).
+	Witnesses []byte `json:"witnesses,omitempty"`
 }
 
 // CloudStats reports server-side sizes and service counters (used by
@@ -85,7 +91,10 @@ func EncodeCloudInit(st *core.CloudState, cached bool) *CloudInitMsg {
 		WitnessCached: cached,
 	}
 	if cached {
-		msg.Witnesses = encodeInts(st.Witnesses)
+		size := st.AccumulatorPub.Size()
+		for w := st.Witnesses; len(w) >= size; w = w[size:] {
+			msg.Witnesses = append(msg.Witnesses, w[:size])
+		}
 	}
 	return msg
 }
@@ -108,6 +117,10 @@ func DecodeCloudInit(msg *CloudInitMsg) (*core.CloudState, core.WitnessMode, err
 	if msg.WitnessCached {
 		mode = core.WitnessCached
 	}
+	ws, err := accPub.PackValues(msg.Witnesses)
+	if err != nil {
+		return nil, 0, fmt.Errorf("wire: witnesses: %w", err)
+	}
 	return &core.CloudState{
 		Params:         msg.Params,
 		AccumulatorPub: accPub,
@@ -115,16 +128,17 @@ func DecodeCloudInit(msg *CloudInitMsg) (*core.CloudState, core.WitnessMode, err
 		Index:          ix,
 		Primes:         decodeInts(msg.Primes),
 		Ac:             new(big.Int).SetBytes(msg.Ac),
-		Witnesses:      decodeInts(msg.Witnesses),
+		Witnesses:      ws,
 	}, mode, nil
 }
 
 // EncodeUpdate converts an UpdateOutput into its wire form.
 func EncodeUpdate(out *core.UpdateOutput) *UpdateMsg {
 	return &UpdateMsg{
-		Index:  out.Index.Marshal(),
-		Primes: encodeInts(out.Primes),
-		Ac:     out.Ac.Bytes(),
+		Index:     out.Index.Marshal(),
+		Primes:    encodeInts(out.Primes),
+		Ac:        out.Ac.Bytes(),
+		Witnesses: out.Witnesses,
 	}
 }
 
@@ -135,9 +149,10 @@ func DecodeUpdate(msg *UpdateMsg) (*core.UpdateOutput, error) {
 		return nil, fmt.Errorf("wire: index delta: %w", err)
 	}
 	return &core.UpdateOutput{
-		Index:  ix,
-		Primes: decodeInts(msg.Primes),
-		Ac:     new(big.Int).SetBytes(msg.Ac),
+		Index:     ix,
+		Primes:    decodeInts(msg.Primes),
+		Ac:        new(big.Int).SetBytes(msg.Ac),
+		Witnesses: msg.Witnesses,
 	}, nil
 }
 

@@ -155,11 +155,14 @@ func (j *journal) commit(enc func() ([]byte, error), apply func() error, state f
 	if err != nil {
 		return fmt.Errorf("wire: journal append: %w", err)
 	}
+	// Only the size is kept: the record, as large as the witness set on an
+	// update that ships one, is garbage while apply runs.
+	recBytes := int64(len(rec))
 	if err := apply(); err != nil {
 		return err
 	}
 	j.sinceRecs++
-	j.sinceBytes += int64(len(rec))
+	j.sinceBytes += recBytes
 	if j.sinceRecs >= j.every || j.sinceBytes >= snapshotBytes {
 		j.snapshotLocked(idx, state)
 	}

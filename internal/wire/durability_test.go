@@ -666,3 +666,133 @@ func TestChainServerRefusesUnreplayableJournal(t *testing.T) {
 		t.Errorf("error does not name the block: %v", err)
 	}
 }
+
+// TestCloudUpdateWitnessesReplay feeds the same inserts to two durable
+// cached clouds. One gets every cloud.update as the owner sends it; the
+// other gets each as a client from before updates carried witnesses sent
+// it, without the field, so it crosses the rebuild threshold by its own
+// RootFactor. Both, live and after their WAL records are replayed across a
+// restart, answer byte for byte as an in-process cloud that never crashed.
+func TestCloudUpdateWitnessesReplay(t *testing.T) {
+	params := core.Params{Bits: 8, TrapdoorBits: 256, AccumulatorBits: 256}
+	owner, err := core.NewOwner(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := owner.Build(workload.Generate(workload.Config{N: 30, Bits: 8, Seed: 19}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.NewCloud(owner.CloudInit(built.Index), core.WitnessCached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsNew, fsOld := durable.NewMemFS(), durable.NewMemFS()
+	srvNew, cliNew, _ := durableCloud(t, fsNew, "cloud", DurabilityOptions{Fsync: durable.FsyncNever})
+	srvOld, cliOld, _ := durableCloud(t, fsOld, "cloud", DurabilityOptions{Fsync: durable.FsyncNever})
+	for _, c := range []*CloudClient{cliNew, cliOld} {
+		if err := c.Init(owner.CloudInit(built.Index), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	updates, ships := 0, 0
+	for ; ships < 2; updates++ {
+		if updates == 40 {
+			t.Fatalf("40 inserts shipped witnesses %d times, want 2", ships)
+		}
+		batch := workload.Generate(workload.Config{N: 3, Bits: 8, Seed: int64(100 + updates), FirstID: uint64(7000 + 10*updates)})
+		up, err := owner.Insert(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.ApplyUpdate(up); err != nil {
+			t.Fatal(err)
+		}
+		if err := cliNew.Update(up); err != nil {
+			t.Fatalf("update %d: %v", updates, err)
+		}
+		if up.Witnesses == nil {
+			if err := cliOld.Update(up); err != nil {
+				t.Fatalf("update %d: %v", updates, err)
+			}
+			continue
+		}
+		ships++
+		var msg map[string]any
+		raw, err := json.Marshal(EncodeUpdate(up))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := msg["witnesses"]; !ok {
+			t.Fatal("a witness-bearing cloud.update has no witnesses field")
+		}
+		delete(msg, "witnesses")
+		if raw, err = json.Marshal(msg); err != nil {
+			t.Fatal(err)
+		}
+		if err := cliOld.c.Call(MethodCloudUpdate, json.RawMessage(raw), nil); err != nil {
+			t.Fatalf("update %d without witnesses: %v", updates, err)
+		}
+	}
+	user, err := core.NewUser(owner.ClientState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	primes := owner.CloudInit(nil).Primes
+	same := func(when string, cli *CloudClient) {
+		t.Helper()
+		for _, q := range []core.Query{core.Less(100), core.Greater(30), core.Equal(77)} {
+			req, err := user.Token(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Search(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cli.Search(req)
+			if err != nil {
+				t.Fatalf("%s: search %v: %v", when, q, err)
+			}
+			rawWant, _ := json.Marshal(want)
+			rawGot, _ := json.Marshal(got)
+			if !bytes.Equal(rawGot, rawWant) {
+				t.Fatalf("%s: query %v: answers differ from the uncrashed cloud's", when, q)
+			}
+		}
+		for i, x := range primes {
+			want, err := ref.WitnessForPrime(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cli.Witness(x)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: witness %d differs from the uncrashed cloud's (err %v)", when, i, err)
+			}
+		}
+	}
+	for _, side := range []struct {
+		name string
+		fsys *durable.MemFS
+		srv  *CloudServer
+		cli  *CloudClient
+	}{{"shipped", fsNew, srvNew, cliNew}, {"rebuilt", fsOld, srvOld, cliOld}} {
+		same(side.name+" live", side.cli)
+		side.cli.Close()
+		if err := side.srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		srv, cli, stats := durableCloud(t, side.fsys, "cloud", DurabilityOptions{})
+		if stats.Replayed != 1+updates || stats.Skipped != 0 {
+			t.Fatalf("%s: recovery stats %+v, want %d replayed", side.name, stats, 1+updates)
+		}
+		same(side.name+" replayed", cli)
+		cli.Close()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -55,11 +55,11 @@ type Cloud struct {
 	primes    []*big.Int
 	primeSet  map[string]int       // prime bytes -> index into primes
 	witnesses map[string]*witEntry // prime bytes -> cached witness state
-	// journal holds, per lazily-applied update, the product of that batch's
-	// primes; witEntry.epoch records how many journal entries a witness has
-	// already folded in. Appended only under the write lock, entries
-	// immutable thereafter, so serve paths read it under the read lock.
-	journal       []*big.Int
+	// journal holds one batch per lazily-applied update; witEntry.epoch
+	// records how many of them a witness has already folded in. Appended
+	// only under the write lock, batches immutable thereafter (but for
+	// their once-built comb), so serve paths read it under the read lock.
+	journal       []*updateBatch
 	pendingPrimes int
 	ac            *big.Int
 	mode          WitnessMode
@@ -86,11 +86,14 @@ type witEntry struct {
 }
 
 // updateBatch is the shared deferred-computation state of one lazy update:
-// the pre-update accumulation value all the batch's new witnesses start
-// from, plus a comb table over it, built at most once when the batch is big
-// enough that table reuse across the batch's witnesses pays for the build.
+// the pre-update accumulation value base, the product of the batch's
+// primes, and a comb table over base, built at most once when the batch is
+// big enough that table reuse pays for the build. The batch's new witnesses
+// start from base, and every older witness folds the batch in through the
+// comb (accumulator.Fold).
 type updateBatch struct {
 	base *big.Int
+	prod *big.Int
 	size int
 	once sync.Once
 	fb   *accumulator.FixedBase
@@ -228,10 +231,11 @@ func (c *Cloud) Ac() *big.Int {
 // takes the cloud's write lock, so in-flight searches drain first and later
 // ones observe the full delta.
 //
-// A cached cloud maintains its witnesses lazily: the batch's prime product
-// is appended to a journal and each witness folds its pending exponents only
-// when next served, so the write-lock window costs O(|X⁺|) regardless of
-// cache size. The insert that takes the pending primes past max(64, |X|/4)
+// A cached cloud maintains its witnesses lazily: the batch (its prime
+// product and the Ac before it) is appended to a journal and each witness
+// folds its pending batches only when next served, through the batch's comb
+// from batchCombMin primes on, so the write-lock window costs O(|X⁺|)
+// regardless of cache size. The insert that takes the pending primes past max(64, |X|/4)
 // carries every witness from the owner (UpdateOutput.Witnesses): the cloud
 // checks each against the new Ac and overwrites its cache. An update past
 // the threshold without them (an older owner, an old WAL record, an owner
@@ -284,9 +288,9 @@ func (c *Cloud) applyLazy(newPrimes []*big.Int) {
 		return
 	}
 	prod := accumulator.Product(newPrimes)
-	c.journal = append(c.journal, prod)
+	batch := &updateBatch{base: new(big.Int).Set(c.ac), prod: prod, size: len(newPrimes)}
+	c.journal = append(c.journal, batch)
 	c.pendingPrimes += len(newPrimes)
-	batch := &updateBatch{base: new(big.Int).Set(c.ac), size: len(newPrimes)}
 	start := len(c.primes)
 	c.addPrimes(newPrimes)
 	for i := start; i < len(c.primes); i++ {
@@ -315,11 +319,11 @@ func rebuildThreshold(total int) int {
 	return 64
 }
 
-// materialize returns the entry's up-to-date witness, computing a deferred
-// initial value and folding pending journal epochs first. Callers hold the
-// cloud's read lock; concurrent serves of the same entry serialize on the
-// entry mutex.
-func (c *Cloud) materialize(e *witEntry) *big.Int {
+// materialize returns the up-to-date witness of entry e for prime x,
+// computing a deferred initial value and folding pending journal epochs
+// first. Callers hold the cloud's read lock; concurrent serves of the same
+// entry serialize on the entry mutex.
+func (c *Cloud) materialize(e *witEntry, x *big.Int) *big.Int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.batch != nil {
@@ -330,13 +334,23 @@ func (c *Cloud) materialize(e *witEntry) *big.Int {
 		}
 		e.batch, e.exp = nil, nil
 	}
-	if e.epoch < len(c.journal) {
-		// Fold all pending batches in one modexp; exponentiation composes,
-		// so this equals folding them one update at a time.
-		pending := accumulator.Product(c.journal[e.epoch:])
-		e.w = new(big.Int).Exp(e.w, pending, c.accPub.N)
-		e.epoch = len(c.journal)
+	// Before batch i, w^x is the batch's base, so a batch with a comb
+	// folds in exactly as base^⌊prod/x⌋ · w^(prod mod x). A run of batches
+	// without one folds in one modexp by their product; exponentiation
+	// composes, so either equals folding them one update at a time.
+	for i := e.epoch; i < len(c.journal); {
+		if fb := c.journal[i].comb(c.accPub); fb != nil {
+			e.w = accumulator.Fold(fb, e.w, x, c.journal[i].prod)
+			i++
+			continue
+		}
+		run := []*big.Int{c.journal[i].prod}
+		for i++; i < len(c.journal) && c.journal[i].size < batchCombMin; i++ {
+			run = append(run, c.journal[i].prod)
+		}
+		e.w = new(big.Int).Exp(e.w, accumulator.Product(run), c.accPub.N)
 	}
+	e.epoch = len(c.journal)
 	return e.w
 }
 
@@ -584,7 +598,7 @@ func (c *Cloud) witnessForPrime(x *big.Int) ([]byte, error) {
 		if e == nil {
 			return nil, fmt.Errorf("core: witness cache miss for accumulated prime")
 		}
-		w = c.materialize(e)
+		w = c.materialize(e, x)
 	case WitnessOnDemand:
 		// NewCloud, UnmarshalCloud and ApplyUpdate all call resetTree after
 		// changing c.primes, so the tree always covers the current set.

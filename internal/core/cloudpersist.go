@@ -52,7 +52,7 @@ func (c *Cloud) Marshal() ([]byte, error) {
 			}
 			// Fold any pending update batches first: the file holds current
 			// witnesses only, never the journal.
-			st.Witnesses[i] = c.materialize(e).Bytes()
+			st.Witnesses[i] = c.materialize(e, p).Bytes()
 		}
 	}
 	return json.Marshal(&st)

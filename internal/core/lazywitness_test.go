@@ -492,3 +492,123 @@ func TestApplyUpdateRejectsBadShippedWitness(t *testing.T) {
 	d.search(t, Greater(0))
 	d.search(t, Less(200))
 }
+
+// TestFoldThroughCombMatchesOnDemand drives a cached cloud through a
+// journal that mixes batches below and above batchCombMin, so witnesses
+// fold through batch combs (accumulator.Fold) and through runs of
+// comb-less batches, and across an owner's ship. Each step serves a
+// rotating quarter of the primes, concurrently, so entries are served
+// while current, one batch behind, several behind and still deferred in
+// their own batch, and different entries fold through one comb at the
+// same time (run with -race). Every served witness must equal the
+// on-demand cloud's byte for byte, also from a cloud restored by
+// UnmarshalCloud out of a half-folded one.
+func TestFoldThroughCombMatchesOnDemand(t *testing.T) {
+	const bits = 6
+	owner, err := NewOwner(testParams(bits))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := owner.Build(lazyDB(30, bits, 46))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, ref := lazyOnDemandPair(t, owner, out)
+	records := []int{1, 6, 2, 1, 6, 1, 2, 6, 1, 1, 6, 2}
+	seen := map[string]int{} // how a served entry stood before the serve
+	var combBatches, plainBatches, ships int
+	nextID := uint64(7000)
+	for step, n := range records {
+		batch := make([]Record, n)
+		for i := range batch {
+			batch[i] = NewRecord(nextID, (nextID*37+uint64(step))%(1<<bits))
+			nextID++
+		}
+		upd, err := owner.Insert(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*Cloud{lazy, ref} {
+			if err := c.ApplyUpdate(upd); err != nil {
+				t.Fatalf("step %d: ApplyUpdate: %v", step, err)
+			}
+		}
+		switch {
+		case upd.Witnesses != nil:
+			ships++
+		case len(upd.Primes) >= batchCombMin:
+			combBatches++
+		default:
+			plainBatches++
+		}
+
+		lazy.mu.RLock()
+		var serve []*big.Int
+		for i, x := range lazy.primes {
+			if i%4 != step%4 {
+				continue
+			}
+			serve = append(serve, x)
+			e := lazy.witnesses[string(x.Bytes())]
+			switch lag := len(lazy.journal) - e.epoch; {
+			case e.batch != nil:
+				seen["deferred"]++
+			case lag == 0:
+				seen["current"]++
+			case lag == 1:
+				seen["one behind"]++
+			case lag >= 3:
+				seen["three or more behind"]++
+			}
+		}
+		lazy.mu.RUnlock()
+		got, want := make([][]byte, len(serve)), make([][]byte, len(serve))
+		err = ForEachIndexed(len(serve), 8, func(i int) error {
+			var err error
+			if got[i], err = lazy.WitnessForPrime(serve[i]); err != nil {
+				return err
+			}
+			want[i], err = ref.WitnessForPrime(serve[i])
+			return err
+		})
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("step %d: served witness differs from the on-demand cloud's", step)
+			}
+		}
+
+		if step == len(records)/2 {
+			raw, err := lazy.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lazy, err = UnmarshalCloud(raw); err != nil {
+				t.Fatalf("UnmarshalCloud of a half-folded cloud: %v", err)
+			}
+			got, want := servedWitnesses(t, lazy), servedWitnesses(t, ref)
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("restored cloud: witness %d differs from the on-demand cloud's", i)
+				}
+			}
+		}
+	}
+	got, want := servedWitnesses(t, lazy), servedWitnesses(t, ref)
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("witness %d differs from the on-demand cloud's", i)
+		}
+	}
+	t.Logf("comb batches %d, comb-less %d, ships %d, serves %v", combBatches, plainBatches, ships, seen)
+	if combBatches == 0 || plainBatches == 0 || ships == 0 {
+		t.Fatalf("%d comb batches, %d comb-less, %d ships: want each at least once", combBatches, plainBatches, ships)
+	}
+	for _, k := range []string{"deferred", "current", "one behind", "three or more behind"} {
+		if seen[k] == 0 {
+			t.Fatalf("no entry was served %s: %v", k, seen)
+		}
+	}
+}

@@ -156,11 +156,11 @@ func contractAddress(from Address, nonce uint64) Address {
 	return a
 }
 
-// applyTx executes one transaction against the state, returning its
-// receipt. Failed transactions revert all their effects except the nonce
-// bump; gas consumed is recorded on the receipt.
-func (n *Node) applyTx(tx *Transaction) *Receipt {
-	receipt := &Receipt{TxHash: tx.Hash()}
+// applyTx executes one transaction, whose hash is txHash, against the
+// state, returning its receipt. Failed transactions revert all their
+// effects except the nonce bump; gas consumed is recorded on the receipt.
+func (n *Node) applyTx(tx *Transaction, txHash Hash) *Receipt {
+	receipt := &Receipt{TxHash: txHash}
 	cp := n.state.Checkpoint()
 	meter := NewMeter(tx.GasLimit)
 
@@ -243,10 +243,11 @@ func (n *Node) SealBlock() (*Block, error) {
 	txs := n.pending
 	n.pending = nil
 
+	hashes := txHashes(txs)
 	receipts := make([]*Receipt, len(txs))
 	gasUsed := uint64(0)
 	for i, tx := range txs {
-		receipts[i] = n.applyTx(tx)
+		receipts[i] = n.applyTx(tx, hashes[i])
 		gasUsed += receipts[i].GasUsed
 	}
 	n.state.DiscardJournal()
@@ -257,7 +258,7 @@ func (n *Node) SealBlock() (*Block, error) {
 			Number:      number,
 			Time:        n.now(),
 			Proposer:    n.identity,
-			TxRoot:      TxRoot(txs),
+			TxRoot:      MerkleRoot(hashes),
 			ReceiptRoot: ReceiptRoot(receipts),
 			StateRoot:   n.state.Root(),
 			GasUsed:     gasUsed,
@@ -284,7 +285,8 @@ func (n *Node) ImportBlock(b *Block) error {
 	if b.Header.Proposer != n.expectedProposer(b.Header.Number) {
 		return fmt.Errorf("chain: %s is not the scheduled proposer of block %d", b.Header.Proposer, b.Header.Number)
 	}
-	if TxRoot(b.Txs) != b.Header.TxRoot {
+	hashes := txHashes(b.Txs)
+	if MerkleRoot(hashes) != b.Header.TxRoot {
 		return errors.New("chain: transaction root mismatch")
 	}
 
@@ -292,7 +294,7 @@ func (n *Node) ImportBlock(b *Block) error {
 	receipts := make([]*Receipt, len(b.Txs))
 	gasUsed := uint64(0)
 	for i, tx := range b.Txs {
-		receipts[i] = n.applyTx(tx)
+		receipts[i] = n.applyTx(tx, hashes[i])
 		gasUsed += receipts[i].GasUsed
 	}
 	if ReceiptRoot(receipts) != b.Header.ReceiptRoot ||
@@ -307,9 +309,9 @@ func (n *Node) ImportBlock(b *Block) error {
 	local := &Block{Header: b.Header, Txs: b.Txs, Receipts: receipts}
 	n.commit(local)
 	// Drop pool entries that were just mined.
-	mined := make(map[Hash]struct{}, len(b.Txs))
-	for _, tx := range b.Txs {
-		mined[tx.Hash()] = struct{}{}
+	mined := make(map[Hash]struct{}, len(hashes))
+	for _, h := range hashes {
+		mined[h] = struct{}{}
 	}
 	kept := n.pending[:0]
 	for _, tx := range n.pending {

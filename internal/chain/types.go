@@ -66,20 +66,15 @@ type Transaction struct {
 	Data     []byte // contract calldata or creation code
 }
 
-// Hash returns the transaction hash.
+// Hash returns the transaction hash: the chain hash of From, To, the
+// nonce, value and gas limit (big endian) and the calldata, streamed
+// through one digest so the calldata is never copied.
 func (tx *Transaction) Hash() Hash {
-	var buf bytes.Buffer
-	buf.Write(tx.From[:])
-	buf.Write(tx.To[:])
-	var u [8]byte
-	binary.BigEndian.PutUint64(u[:], tx.Nonce)
-	buf.Write(u[:])
-	binary.BigEndian.PutUint64(u[:], tx.Value)
-	buf.Write(u[:])
-	binary.BigEndian.PutUint64(u[:], tx.GasLimit)
-	buf.Write(u[:])
-	buf.Write(tx.Data)
-	return HashBytes(buf.Bytes())
+	var u [24]byte
+	binary.BigEndian.PutUint64(u[:8], tx.Nonce)
+	binary.BigEndian.PutUint64(u[8:16], tx.Value)
+	binary.BigEndian.PutUint64(u[16:], tx.GasLimit)
+	return HashBytes(tx.From[:], tx.To[:], u[:], tx.Data)
 }
 
 // IsCreate reports whether the transaction deploys a contract.
@@ -186,12 +181,16 @@ func MerkleRoot(leaves []Hash) Hash {
 }
 
 // TxRoot computes the Merkle root of a transaction list.
-func TxRoot(txs []*Transaction) Hash {
-	leaves := make([]Hash, len(txs))
+func TxRoot(txs []*Transaction) Hash { return MerkleRoot(txHashes(txs)) }
+
+// txHashes hashes each transaction once, for the root, the receipts and
+// the pool's mined set alike.
+func txHashes(txs []*Transaction) []Hash {
+	hashes := make([]Hash, len(txs))
 	for i, tx := range txs {
-		leaves[i] = tx.Hash()
+		hashes[i] = tx.Hash()
 	}
-	return MerkleRoot(leaves)
+	return hashes
 }
 
 // ReceiptRoot computes the Merkle root of a receipt list.

@@ -208,19 +208,9 @@ func DecodeResults(data []byte) ([]core.TokenResult, []byte, error) {
 		if n > len(data)/minERLen {
 			return nil, nil, errTruncated
 		}
-		res.ER = make([][]byte, 0, n)
-		for k := 0; k < n; k++ {
-			var m int
-			m, data, err = readU16(data)
-			if err != nil {
-				return nil, nil, err
-			}
-			var er []byte
-			er, data, err = readBytes(data, m)
-			if err != nil {
-				return nil, nil, err
-			}
-			res.ER = append(res.ER, append([]byte(nil), er...))
+		res.ER, data, err = readERs(data, n)
+		if err != nil {
+			return nil, nil, err
 		}
 		n, data, err = readU16(data)
 		if err != nil {
@@ -235,4 +225,30 @@ func DecodeResults(data []byte) ([]core.TokenResult, []byte, error) {
 		results = append(results, res)
 	}
 	return results, data, nil
+}
+
+// readERs copies n length-prefixed er entries out of data into one backing
+// array: a token's entries cost one allocation, and none aliases the
+// calldata.
+func readERs(data []byte, n int) ([][]byte, []byte, error) {
+	size, rest := 0, data
+	for k := 0; k < n; k++ {
+		m, r, err := readU16(rest)
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, rest, err = readBytes(r, m); err != nil {
+			return nil, nil, err
+		}
+		size += m
+	}
+	backing := make([]byte, 0, size)
+	ers := make([][]byte, n)
+	for k := range ers {
+		m := int(binary.BigEndian.Uint16(data))
+		backing = append(backing, data[2:2+m]...)
+		ers[k] = backing[len(backing)-m : len(backing) : len(backing)]
+		data = data[2+m:]
+	}
+	return ers, rest, nil
 }

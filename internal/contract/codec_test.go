@@ -193,3 +193,41 @@ func TestDecodeResultsCapsCounts(t *testing.T) {
 		t.Fatalf("request status = %d, want pending", got)
 	}
 }
+
+// TestDecodeResultsCopiesEntries: a token's er entries share one backing
+// array, apart from the calldata and each capped at its own length, so
+// neither a write to the calldata nor an append to one entry reaches another.
+func TestDecodeResultsCopiesEntries(t *testing.T) {
+	results := []core.TokenResult{{
+		Token:   sampleToken(2),
+		ER:      [][]byte{bytes.Repeat([]byte{1}, 16), {}, bytes.Repeat([]byte{3}, 16)},
+		Witness: bytes.Repeat([]byte{4}, 32),
+	}}
+	enc, err := EncodeResults(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := DecodeResults(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range enc {
+		enc[i] ^= 0xff
+	}
+	_ = append(got[0].ER[0], 9)
+	_ = append(got[0].ER[1], 9)
+	for k, er := range results[0].ER {
+		if !bytes.Equal(got[0].ER[k], er) || cap(got[0].ER[k]) != len(er) {
+			t.Errorf("er %d = %x (cap %d), want %x", k, got[0].ER[k], cap(got[0].ER[k]), er)
+		}
+	}
+	enc, err = EncodeResults(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The result slice, then per token its trapdoor, G1, G2, er headers, er
+	// bytes and witness.
+	if allocs := testing.AllocsPerRun(10, func() { _, _, _ = DecodeResults(enc) }); allocs != 7 {
+		t.Errorf("DecodeResults allocates %v times for one token, want 7", allocs)
+	}
+}

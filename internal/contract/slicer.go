@@ -59,14 +59,17 @@ var (
 	TopicRefunded  = chain.HashBytes([]byte("event/PaymentRefunded"))
 )
 
-// Slicer is the verification/escrow contract. It holds no Go-side state:
-// everything lives in metered chain storage.
-type Slicer struct{}
+// Slicer is the verification/escrow contract. It holds no state in Go:
+// everything lives in metered chain storage. verify is Algorithm 5,
+// core.VerifyResults; a test may put the serial loop it replaced beside it.
+type Slicer struct {
+	verify func(*accumulator.PublicParams, *big.Int, []core.TokenResult, core.Meter) (int, error)
+}
 
 var _ chain.Contract = (*Slicer)(nil)
 
 // New constructs the runtime (chain.ContractFactory).
-func New() chain.Contract { return &Slicer{} }
+func New() chain.Contract { return &Slicer{verify: core.VerifyResults} }
 
 // Register binds the runtime into a chain registry.
 func Register(reg *chain.Registry) error { return reg.Register(RuntimeID, New) }
@@ -354,7 +357,7 @@ func SubmitData(reqID chain.Hash, accParams []byte, ac *big.Int, results []core.
 	return append(out, enc...), nil
 }
 
-// submitResult runs Algorithm 5 — core.VerifyTokenResult, the check the data
+// submitResult runs Algorithm 5 — core.VerifyResults, the check the data
 // user runs, charged to this call's gas — and the fair-exchange settlement: a
 // valid proof pays the cloud, an invalid one refunds the data user.
 // Malformed submissions revert (the escrow stays pending and the cloud can
@@ -460,10 +463,12 @@ func (s *Slicer) submitResult(ctx *chain.CallCtx, data []byte) ([]byte, error) {
 	}
 
 	valid := subtle.ConstantTimeCompare(th[:], wantTH[:]) == 1
-	for i := 0; valid && i < len(results); i++ {
-		if valid, err = core.VerifyTokenResult(pp, ac, results[i], ctx); err != nil {
+	if valid {
+		bad, err := s.verify(pp, ac, results, ctx)
+		if err != nil {
 			return nil, err
 		}
+		valid = bad < 0
 	}
 
 	// Settle or refund the escrow.

@@ -8,6 +8,9 @@
 # (churn-durable's search rows follow run order within a pair). The parent is
 # exported with git archive under .bench_build/pair/ (already ignored, and
 # wiped on the next call); both sides build themselves through run.sh.
+# The parent builds through the working tree's go build cache (a symlink
+# the wipe removes without touching its target), so only what the change
+# touched is compiled again.
 # TRACE=1 runs the traced pairs instead and prints both sides' per-layer
 # medians side by side; --compare reads untraced runs only, so it is skipped.
 #
@@ -27,7 +30,8 @@ fi
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 pair="$root/.bench_build/pair"
 rm -rf "$pair"
-mkdir -p "$pair/parent"
+mkdir -p "$pair/parent/.bench_build" "$root/.bench_build/gocache"
+ln -s "$root/.bench_build/gocache" "$pair/parent/.bench_build/gocache"
 git -C "$root" archive "$parent_ref" | tar -x -C "$pair/parent"
 seconds="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$root/BENCHMARK.json")"
 

@@ -99,6 +99,9 @@ type CallCtx struct {
 // GasUsed reports gas consumed so far in this call.
 func (c *CallCtx) GasUsed() uint64 { return c.meter.Used() }
 
+// GasLeft reports the gas this call can still use.
+func (c *CallCtx) GasLeft() uint64 { return c.meter.Remaining() }
+
 // SLoad reads a storage slot, charging SloadGas.
 func (c *CallCtx) SLoad(k Slot) (Slot, bool, error) {
 	if err := c.meter.Use(SloadGas); err != nil {

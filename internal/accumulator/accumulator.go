@@ -27,6 +27,7 @@ import (
 	"sync"
 
 	"slicer/internal/chunkio"
+	"slicer/internal/trapdoor"
 )
 
 // DefaultModulusBits is the default accumulator modulus size; 1024 bits
@@ -234,10 +235,7 @@ func (p *Params) Witnesses(primes []*big.Int) (func(i int) *big.Int, error) {
 		return nil, err
 	}
 	return func(i int) *big.Int {
-		wp, wq := expP(i), expQ(i)
-		// The one value below n that is wp mod p and wq mod q.
-		wp.Sub(wp, wq).Mul(wp, qInv).Mod(wp, fp)
-		return wp.Mul(wp, fq).Add(wp, wq)
+		return trapdoor.Garner(expP(i), expQ(i), fp, fq, qInv)
 	}, nil
 }
 

@@ -8,7 +8,8 @@
 //	π_sk^{-1}(x) = x^d mod n   (easy only with the trapdoor d)
 //
 // The data owner advances a keyword's trapdoor with π_sk^{-1} on every
-// insertion epoch; the cloud, holding only the public key, can walk the
+// insertion epoch, by the Chinese remainder theorem over the factors of n;
+// the cloud, holding only the public key, can walk the
 // chain backwards with π_pk from the newest trapdoor it is handed, but can
 // never move forwards — which is exactly the forward-security property.
 package trapdoor
@@ -32,6 +33,10 @@ var (
 	// ErrNotInDomain indicates a value outside [1, n).
 	ErrNotInDomain = errors.New("trapdoor: value outside permutation domain")
 
+	// ErrNoFactors indicates a secret key whose private exponent is not an
+	// inverse of e for the factors of n, so n cannot be split from it.
+	ErrNoFactors = errors.New("trapdoor: private exponent does not factor the modulus")
+
 	one = big.NewInt(1)
 )
 
@@ -42,10 +47,83 @@ type PublicKey struct {
 	E *big.Int // public exponent
 }
 
-// SecretKey additionally enables the inverse direction.
+// SecretKey additionally enables the inverse direction. Beside d it keeps
+// the factors of n and the CRT exponents, as Bost's Σοφος does; they are
+// not serialized but recovered from (n, e, d) when a key is loaded.
 type SecretKey struct {
 	PublicKey
 	D *big.Int // private exponent
+
+	p, q   *big.Int // n = p·q
+	dP, dQ *big.Int // d mod p−1, d mod q−1
+	qInv   *big.Int // q⁻¹ mod p
+}
+
+// newSecretKey completes (n, e, d) and a factorization n = p·q with the CRT
+// exponents. It fails with ErrNoFactors unless p and q are distinct primes
+// with product n and e·d ≡ 1 modulo both p−1 and q−1, which is exactly
+// when Inverse computes v^d mod n for every v in [1, n).
+func newSecretKey(n, e, d, p, q *big.Int) (*SecretKey, error) {
+	pm1, qm1 := new(big.Int).Sub(p, one), new(big.Int).Sub(q, one)
+	ed := new(big.Int).Mul(e, d)
+	sk := &SecretKey{PublicKey: PublicKey{N: n, E: e}, D: d, p: p, q: q,
+		dP: new(big.Int).Mod(d, pm1), dQ: new(big.Int).Mod(d, qm1), qInv: new(big.Int)}
+	if new(big.Int).Mul(p, q).Cmp(n) != 0 || !p.ProbablyPrime(0) || !q.ProbablyPrime(0) ||
+		new(big.Int).Mod(ed, pm1).Cmp(one) != 0 || new(big.Int).Mod(ed, qm1).Cmp(one) != 0 ||
+		sk.qInv.ModInverse(q, p) == nil {
+		return nil, ErrNoFactors
+	}
+	return sk, nil
+}
+
+// factor splits n from a multiple k = e·d − 1 of λ(n), the standard
+// reduction: write k = 2^t·r with r odd; for a base g, some square in
+// g^r, g^2r, …, g^k is a square root of 1 other than ±1 with probability
+// at least 1/2, and it shares exactly one factor with n. The bases are the
+// primes 2, 3, 5, … in turn, so a key loads to the same factors every time.
+func factor(n, e, d *big.Int) (p, q *big.Int, err error) {
+	k := new(big.Int).Mul(e, d)
+	k.Sub(k, one)
+	t := k.TrailingZeroBits()
+	if k.Sign() <= 0 || t == 0 || n.Bit(0) == 0 {
+		return nil, nil, ErrNoFactors
+	}
+	r := new(big.Int).Rsh(k, t)
+	nm1 := new(big.Int).Sub(n, one)
+	g, x, y := new(big.Int), new(big.Int), new(big.Int)
+	for _, base := range factorBases {
+		if g.SetInt64(base).Cmp(nm1) >= 0 {
+			break
+		}
+		if f := new(big.Int).GCD(nil, nil, g, n); f.Cmp(one) != 0 {
+			return f, new(big.Int).Quo(n, f), nil
+		}
+		x.Exp(g, r, n)
+		for i := uint(0); i < t && x.Cmp(one) != 0 && x.Cmp(nm1) != 0; i++ {
+			y.Mul(x, x).Mod(y, n)
+			if y.Cmp(one) == 0 { // x is a nontrivial square root of 1
+				f := new(big.Int).GCD(nil, nil, x.Sub(x, one), n)
+				return f, new(big.Int).Quo(n, f), nil
+			}
+			x, y = y, x
+		}
+	}
+	return nil, nil, ErrNoFactors
+}
+
+// factorBases are the bases factor tries: a valid key fails on each with
+// probability at most 1/2, so on all of them with at most 2^-len.
+var factorBases = []int64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79,
+	83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191,
+	193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293, 307, 311}
+
+// Garner returns the value below p·q that is mp mod p and mq mod q, by
+// Garner's step mq + q·((mp − mq)·qInv mod p) with qInv = q⁻¹ mod p. It
+// needs mq < q and writes the result into mp; mq, p, q and qInv are only
+// read. No inverse is taken per call.
+func Garner(mp, mq, p, q, qInv *big.Int) *big.Int {
+	mp.Sub(mp, mq).Mul(mp, qInv).Mod(mp, p)
+	return mp.Mul(mp, q).Add(mp, mq)
 }
 
 // GenerateKey samples an RSA trapdoor permutation with a modulus of the
@@ -75,10 +153,7 @@ func GenerateKey(bits int) (*SecretKey, error) {
 		if d.ModInverse(e, phi) == nil {
 			continue // e not invertible mod phi; resample
 		}
-		return &SecretKey{
-			PublicKey: PublicKey{N: n, E: e},
-			D:         d,
-		}, nil
+		return newSecretKey(n, e, d, p, q)
 	}
 }
 
@@ -112,14 +187,20 @@ func (pk *PublicKey) Forward(x []byte) ([]byte, error) {
 }
 
 // Inverse evaluates π_sk^{-1}(x): one step forwards along a trapdoor chain.
-// Only the data owner holds the secret key.
+// Only the data owner holds the secret key. It is v^d mod n computed as
+// v^dP mod p and v^dQ mod q joined by Garner's step: two half-width
+// exponentiations, each with half-length exponents. That is exact for
+// every v in [1, n), a v that shares a factor with n included, because dP
+// and dQ are never 0. It is safe for concurrent use.
 func (sk *SecretKey) Inverse(x []byte) ([]byte, error) {
 	v, err := sk.decode(x)
 	if err != nil {
 		return nil, err
 	}
-	v.Exp(v, sk.D, sk.N)
-	return sk.encode(v), nil
+	mq := new(big.Int).Mod(v, sk.q)
+	mq.Exp(mq, sk.dQ, sk.q)
+	v.Mod(v, sk.p).Exp(v, sk.dP, sk.p)
+	return sk.encode(Garner(v, mq, sk.p, sk.q, sk.qInv)), nil
 }
 
 func (pk *PublicKey) encode(v *big.Int) []byte {
@@ -146,7 +227,9 @@ func (sk *SecretKey) MarshalSecret() []byte {
 	return chunkio.Append(out, sk.D.Bytes())
 }
 
-// UnmarshalSecret parses a keypair produced by MarshalSecret.
+// UnmarshalSecret parses a keypair produced by MarshalSecret and recovers
+// the factors of n from it. A key whose d is not an inverse of e fails with
+// ErrNoFactors.
 func UnmarshalSecret(data []byte) (*SecretKey, error) {
 	nb, rest, err := chunkio.Read(data)
 	if err != nil {
@@ -160,14 +243,15 @@ func UnmarshalSecret(data []byte) (*SecretKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trapdoor: parse private exponent: %w", err)
 	}
-	sk := &SecretKey{
-		PublicKey: PublicKey{N: new(big.Int).SetBytes(nb), E: new(big.Int).SetBytes(eb)},
-		D:         new(big.Int).SetBytes(db),
-	}
-	if sk.N.Sign() <= 0 || sk.E.Sign() <= 0 || sk.D.Sign() <= 0 {
+	n, e, d := new(big.Int).SetBytes(nb), new(big.Int).SetBytes(eb), new(big.Int).SetBytes(db)
+	if n.Sign() <= 0 || e.Sign() <= 0 || d.Sign() <= 0 {
 		return nil, errors.New("trapdoor: invalid secret key encoding")
 	}
-	return sk, nil
+	p, q, err := factor(n, e, d)
+	if err != nil {
+		return nil, err
+	}
+	return newSecretKey(n, e, d, p, q)
 }
 
 // MarshalPublic serializes the public key (modulus then exponent, each

@@ -245,6 +245,27 @@ func (o *Owner) g1g2(w []byte) (g1, g2 []byte) {
 	return g1, g2
 }
 
+// advance fills c with keyword w's index keys and its next trapdoor and
+// epoch: a fresh trapdoor at epoch 0 for a keyword new to T, else π_sk⁻¹
+// of the current one. It returns the S key of the epoch w leaves ("" for a
+// new keyword). It only reads T, so calls for distinct keywords may run
+// concurrently.
+func (o *Owner) advance(w []byte, c *primeInput) (oldKey string, err error) {
+	c.g1, c.g2 = o.g1g2(w)
+	st, ok := o.states.Get(w)
+	if !ok {
+		if c.t, err = o.tsk.Sample(); err != nil {
+			return "", fmt.Errorf("sample trapdoor: %w", err)
+		}
+		return "", nil
+	}
+	if c.t, err = o.tsk.Inverse(st.Trapdoor); err != nil {
+		return "", fmt.Errorf("advance trapdoor: %w", err)
+	}
+	c.j = st.Epoch + 1
+	return store.SetHashKey(st.Trapdoor, st.Epoch, c.g1, c.g2), nil
+}
+
 // indexEntries writes the entries for one keyword epoch into ix, starting at
 // counter 0, and folds each handle into the running multiset hash.
 func indexEntries(ix *store.Index, g1, g2, t []byte, encIDs [][]byte, h mhash.Hash) (mhash.Hash, error) {
@@ -330,6 +351,12 @@ func (o *Owner) Insert(db []Record) (*UpdateOutput, error) {
 // samples a fresh trapdoor at epoch 0; keywords go in sorted order, which
 // keeps the output reproducible for tests (the dictionary is history
 // independent regardless).
+//
+// Every step that can fail runs before the first write to T, S, X, Ac or
+// the seen IDs, so a failed insert leaves the owner as it was. The
+// trapdoor steps, one modexp per existing keyword, fan out across the
+// cores and read T only; the index entries and set hashes follow in
+// keyword order.
 func (o *Owner) insert(db []Record) (*UpdateOutput, error) {
 	if err := o.checkNewRecords(db); err != nil {
 		return nil, err
@@ -342,42 +369,26 @@ func (o *Owner) insert(db []Record) (*UpdateOutput, error) {
 	keywords := sortedKeys(groups)
 
 	indexStart := statsNow()
-	commits := make([]primeInput, 0, len(keywords))
-	defer o.states.Freeze()
-	for _, wStr := range keywords {
-		w := []byte(wStr)
-		g1, g2 := o.g1g2(w)
-		var (
-			t []byte
-			j int
-			h mhash.Hash
-		)
-		if st, ok := o.states.Get(w); !ok {
-			h = mhash.Empty()
-			t, err = o.tsk.Sample()
-			if err != nil {
-				return nil, fmt.Errorf("sample trapdoor: %w", err)
-			}
-			j = 0
-		} else {
-			old, ok := o.setHashes.Pop(store.SetHashKey(st.Trapdoor, st.Epoch, g1, g2))
-			if !ok {
+	commits := make([]primeInput, len(keywords))
+	oldKeys := make([]string, len(keywords)) // S key of the epoch left; "" for a new keyword
+	err = ForEachIndexed(len(keywords), runtime.GOMAXPROCS(0), func(i int) (err error) {
+		oldKeys[i], err = o.advance([]byte(keywords[i]), &commits[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range commits {
+		h := mhash.Empty()
+		if oldKeys[i] != "" {
+			var ok bool
+			if h, ok = o.setHashes.Get(oldKeys[i]); !ok {
 				return nil, fmt.Errorf("core: set hash missing for existing keyword")
 			}
-			h = old
-			t, err = o.tsk.Inverse(st.Trapdoor)
-			if err != nil {
-				return nil, fmt.Errorf("advance trapdoor: %w", err)
-			}
-			j = st.Epoch + 1
 		}
-		o.states.Put(w, store.TrapdoorState{Trapdoor: t, Epoch: j})
-		h, err = indexEntries(ix, g1, g2, t, groups[wStr], h)
-		if err != nil {
+		if commits[i].h, err = indexEntries(ix, c.g1, c.g2, c.t, groups[keywords[i]], h); err != nil {
 			return nil, err
 		}
-		o.setHashes.Put(store.SetHashKey(t, j, g1, g2), h)
-		commits = append(commits, primeInput{t: t, j: j, g1: g1, g2: g2, h: h})
 	}
 	indexDur := statsNow().Sub(indexStart)
 
@@ -387,13 +398,23 @@ func (o *Owner) insert(db []Record) (*UpdateOutput, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.ac = ac
 	o.lastStats = UpdateStats{
 		IndexDuration: indexDur,
 		ADSDuration:   statsNow().Sub(adsStart),
 		Keywords:      len(keywords),
 		NewPrimes:     len(newPrimes),
 	}
+
+	// Nothing below fails: commit T, S, X, Ac and the seen IDs.
+	for i, c := range commits {
+		if oldKeys[i] != "" {
+			o.setHashes.Pop(oldKeys[i])
+		}
+		o.states.Put([]byte(keywords[i]), store.TrapdoorState{Trapdoor: c.t, Epoch: c.j})
+		o.setHashes.Put(store.SetHashKey(c.t, c.j, c.g1, c.g2), c.h)
+	}
+	o.states.Freeze()
+	o.ac = ac
 	o.primes = append(o.primes, newPrimes...)
 	for _, rec := range db {
 		o.seen[rec.ID] = struct{}{}

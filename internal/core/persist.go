@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"slicer/internal/accumulator"
 	"slicer/internal/mhash"
@@ -44,7 +46,7 @@ type setHashRec struct {
 
 // Marshal serializes the owner's complete state (keys, T, S, X, Ac) so a
 // CLI or service can resume it in a later process. The output holds all
-// deployment secrets.
+// deployment secrets, and is the same bytes for the same state.
 func (o *Owner) Marshal() ([]byte, error) {
 	accBytes, err := o.acc.MarshalSecret()
 	if err != nil {
@@ -75,6 +77,10 @@ func (o *Owner) Marshal() ([]byte, error) {
 	for id := range o.seen {
 		st.Seen = append(st.Seen, id)
 	}
+	// Map order is random: sort, so one state always marshals to one blob.
+	slices.SortFunc(st.States, func(a, b trapdoorStateRec) int { return bytes.Compare(a.Keyword, b.Keyword) })
+	slices.SortFunc(st.SetHashes, func(a, b setHashRec) int { return bytes.Compare(a.Key, b.Key) })
+	slices.Sort(st.Seen)
 	return json.Marshal(&st)
 }
 

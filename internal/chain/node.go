@@ -119,10 +119,23 @@ func (n *Node) NextNonce(a Address) uint64 {
 	return nonce
 }
 
+// ErrIntrinsicGas rejects a transaction whose gas limit does not cover its
+// intrinsic gas, as Ethereum does: it is refused from the pool, and a block
+// that carries one is invalid.
+var ErrIntrinsicGas = errors.New("chain: gas limit below intrinsic gas")
+
+// checkIntrinsic refuses a transaction that could not pay its intrinsic gas.
+func checkIntrinsic(tx *Transaction) error {
+	if need := IntrinsicGas(tx.Data, tx.IsCreate()); tx.GasLimit < need {
+		return fmt.Errorf("%w: limit %d, intrinsic %d", ErrIntrinsicGas, tx.GasLimit, need)
+	}
+	return nil
+}
+
 // SubmitTx queues a transaction for inclusion in the next block.
 func (n *Node) SubmitTx(tx *Transaction) error {
-	if tx.GasLimit == 0 {
-		return errors.New("chain: zero gas limit")
+	if err := checkIntrinsic(tx); err != nil {
+		return err
 	}
 	if tx.Nonce != n.NextNonce(tx.From) {
 		return fmt.Errorf("chain: bad nonce %d for %s (want %d)", tx.Nonce, tx.From, n.NextNonce(tx.From))
@@ -288,6 +301,11 @@ func (n *Node) ImportBlock(b *Block) error {
 	hashes := txHashes(b.Txs)
 	if MerkleRoot(hashes) != b.Header.TxRoot {
 		return errors.New("chain: transaction root mismatch")
+	}
+	for i, tx := range b.Txs {
+		if err := checkIntrinsic(tx); err != nil {
+			return fmt.Errorf("block %d tx %d: %w", b.Header.Number, i, err)
+		}
 	}
 
 	cp := n.state.Checkpoint()

@@ -127,7 +127,7 @@ func TestOutOfGasReverts(t *testing.T) {
 	}
 	r := f.mine(&chain.Transaction{
 		From: f.cloudAddr, To: f.contractAddr, Nonce: f.nonce(f.cloudAddr),
-		GasLimit: 30_000, Data: data, // below even the intrinsic cost
+		GasLimit: 30_000, Data: data, // above the intrinsic cost, below the execution
 	})
 	if r.Status {
 		t.Fatal("under-gassed submission succeeded")

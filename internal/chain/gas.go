@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"bytes"
 	"errors"
 	"math/big"
 )
@@ -44,20 +45,16 @@ const (
 var ErrOutOfGas = errors.New("chain: out of gas")
 
 // IntrinsicGas computes the gas charged before execution starts: the base
-// cost plus calldata pricing (and the creation surcharge).
+// cost plus calldata pricing (and the creation surcharge). Every node
+// prices each transaction at admission, import and execution, so the zero
+// bytes are counted with bytes.Count rather than byte by byte.
 func IntrinsicGas(data []byte, create bool) uint64 {
 	gas := TxGas
 	if create {
 		gas += TxCreateGas
 	}
-	for _, b := range data {
-		if b == 0 {
-			gas += TxDataZeroGas
-		} else {
-			gas += TxDataNonZeroGas
-		}
-	}
-	return gas
+	zeros := uint64(bytes.Count(data, []byte{0}))
+	return gas + TxDataZeroGas*zeros + TxDataNonZeroGas*(uint64(len(data))-zeros)
 }
 
 // HashGas prices hashing n bytes.

@@ -378,15 +378,15 @@ func (o *Owner) insert(db []Record) (*UpdateOutput, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range commits {
-		h := mhash.Empty()
+	for i := range commits {
+		c, h := &commits[i], mhash.Empty()
 		if oldKeys[i] != "" {
 			var ok bool
 			if h, ok = o.setHashes.Get(oldKeys[i]); !ok {
 				return nil, fmt.Errorf("core: set hash missing for existing keyword")
 			}
 		}
-		if commits[i].h, err = indexEntries(ix, c.g1, c.g2, c.t, groups[keywords[i]], h); err != nil {
+		if c.h, err = indexEntries(ix, c.g1, c.g2, c.t, groups[keywords[i]], h); err != nil {
 			return nil, err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"math/big"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"slicer/internal/chunkio"
@@ -138,7 +139,7 @@ func BenchmarkInverse(b *testing.B) {
 		sk := newKATKey(s, bits).secret(b)
 		v := s.below(sk.N)
 		x := sk.encode(v)
-		b.Run(itoa(bits)+"/crt", func(b *testing.B) {
+		b.Run(strconv.Itoa(bits)+"/crt", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := sk.Inverse(x); err != nil {
@@ -146,7 +147,7 @@ func BenchmarkInverse(b *testing.B) {
 				}
 			}
 		})
-		b.Run(itoa(bits)+"/exp", func(b *testing.B) {
+		b.Run(strconv.Itoa(bits)+"/exp", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				inverseOracle(sk, v)
@@ -154,5 +155,3 @@ func BenchmarkInverse(b *testing.B) {
 		})
 	}
 }
-
-func itoa(n int) string { return big.NewInt(int64(n)).String() }

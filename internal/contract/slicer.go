@@ -68,6 +68,11 @@ type Slicer struct {
 
 var _ chain.Contract = (*Slicer)(nil)
 
+// callMeter charges Algorithm 5 to the call's gas.
+type callMeter struct{ *chain.CallCtx }
+
+func (m callMeter) Fresh() core.Charges { return chain.NewMeter(m.GasLeft()) }
+
 // New constructs the runtime (chain.ContractFactory).
 func New() chain.Contract { return &Slicer{verify: core.VerifyResults} }
 
@@ -464,7 +469,7 @@ func (s *Slicer) submitResult(ctx *chain.CallCtx, data []byte) ([]byte, error) {
 
 	valid := subtle.ConstantTimeCompare(th[:], wantTH[:]) == 1
 	if valid {
-		bad, err := s.verify(pp, ac, results, ctx)
+		bad, err := s.verify(pp, ac, results, callMeter{ctx})
 		if err != nil {
 			return nil, err
 		}

@@ -28,7 +28,7 @@ func TestFanOutPieceHashes(t *testing.T) {
 
 	for _, procs := range []int{1, 2} {
 		prev := runtime.GOMAXPROCS(procs)
-		checks := checkResults(pp, ac, results, math.MaxUint64)
+		checks := checkResults(pp, ac, results, freeMeter{})
 		bad, err := VerifyResults(pp, ac, tampered, nil)
 		runtime.GOMAXPROCS(prev)
 		for i, res := range results {
@@ -86,7 +86,7 @@ func TestCheckResultsWithinGasLeft(t *testing.T) {
 	}
 	for k, f := range floors {
 		for _, left := range []uint64{f - 1, f} {
-			checks := checkResults(pp, ac, results, left)
+			checks := checkResults(pp, ac, results, chain.NewMeter(left))
 			for i := range checks {
 				c := &checks[i]
 				if want := i < k || i == k && left == f; c.derive != want || (c.x != floorX) != want {
@@ -122,12 +122,7 @@ func TestCheckResultsWithinGasLeft(t *testing.T) {
 // gasMeter charges chain's prices on a bare meter.
 type gasMeter struct{ *chain.Meter }
 
-func (g gasMeter) ChargeHash(n int) error { return g.Use(chain.HashGas(n)) }
-func (g gasMeter) ChargeFieldMul() error  { return g.Use(chain.FieldMulGas) }
-func (g gasMeter) ChargeModExp(b, m int, e *big.Int) error {
-	return g.Use(chain.ModExpGas(b, m, e))
-}
-func (g gasMeter) GasLeft() uint64 { return g.Remaining() }
+func (g gasMeter) Fresh() Charges { return chain.NewMeter(g.Remaining()) }
 
 // honestResults builds one result per count, of that many random entries,
 // and an accumulator over their primes that every witness proves.

@@ -10,6 +10,7 @@ import (
 	"slicer/internal/core"
 	"slicer/internal/exchange"
 	"slicer/internal/obs"
+	"slicer/internal/wire"
 )
 
 // Re-exported chain types used by the on-chain API.
@@ -52,7 +53,7 @@ type SearchOutcome struct {
 type Deployment struct {
 	owner *core.Owner
 	user  *core.User
-	cloud *core.Cloud
+	cloud *wire.ObservedCloud
 
 	network      *chain.Network
 	contractAddr Address
@@ -81,11 +82,11 @@ type Deployment struct {
 // SetObservability attaches a metrics registry to the deployment: the
 // fair-exchange flow records per-phase latency histograms (escrow mining,
 // cloud search, on-chain settlement, decryption), settlement outcomes and
-// verification gas; the in-process cloud records its own phase histograms
-// into the same registry. A nil registry detaches. Observability never
-// changes any protocol output.
+// verification gas; the in-process cloud records its own series into the
+// same registry. A nil registry detaches. Observability never changes any
+// protocol output.
 func (d *Deployment) SetObservability(reg *obs.Registry) {
-	d.cloud.SetMetrics(reg)
+	d.cloud = wire.ObserveCloud(d.cloud.Cloud, reg)
 	d.met = exchange.NewMetrics(reg)
 }
 
@@ -125,7 +126,7 @@ func NewDeployment(cfg DeploymentConfig, db []Record) (*Deployment, error) {
 	d := &Deployment{
 		owner:     owner,
 		user:      user,
-		cloud:     cloud,
+		cloud:     wire.ObserveCloud(cloud, nil),
 		OwnerAddr: chain.AddressFromString("slicer-owner"),
 		UserAddr:  chain.AddressFromString("slicer-user"),
 		CloudAddr: chain.AddressFromString("slicer-cloud"),
@@ -173,7 +174,7 @@ func NewDeployment(cfg DeploymentConfig, db []Record) (*Deployment, error) {
 // Owner / User / Cloud / ContractAddress expose deployment internals.
 func (d *Deployment) Owner() *core.Owner       { return d.owner }
 func (d *Deployment) User() *core.User         { return d.user }
-func (d *Deployment) Cloud() *core.Cloud       { return d.cloud }
+func (d *Deployment) Cloud() *core.Cloud       { return d.cloud.Cloud }
 func (d *Deployment) ContractAddress() Address { return d.contractAddr }
 func (d *Deployment) Network() *chain.Network  { return d.network }
 func (d *Deployment) Balance(a Address) uint64 { return d.network.Leader().Balance(a) }

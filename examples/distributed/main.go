@@ -230,7 +230,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := core.VerifyResponseObserved(owner.AccumulatorPub(), owner.Ac(), req, resp, verifyDur, nil); err != nil {
+	if err := slicer.VerifyResponseObserved(owner.AccumulatorPub(), owner.Ac(), req, resp, verifyDur, nil); err != nil {
 		return fmt.Errorf("verification after insert: %w", err)
 	}
 	ids, err := user.Decrypt(resp)

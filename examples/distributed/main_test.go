@@ -66,7 +66,7 @@ func TestVerifiedSearchDiscardsRefundedResponse(t *testing.T) {
 	}
 
 	round := &exchange.Round{
-		Cloud: cloud, Ledger: ledger,
+		Cloud: wire.ObserveCloud(cloud, nil), Ledger: ledger,
 		Contract: rc.ContractAddress, User: userAcct, CloudAcct: cloudAcct,
 		AccPub: owner.AccumulatorPub(), Ac: owner.Ac(),
 	}

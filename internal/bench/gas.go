@@ -7,6 +7,7 @@ import (
 	"slicer/internal/contract"
 	"slicer/internal/core"
 	"slicer/internal/exchange"
+	"slicer/internal/wire"
 	"slicer/internal/workload"
 )
 
@@ -93,7 +94,7 @@ func (r *Runner) Table2() (*Table, error) {
 		return nil, err
 	}
 	round := exchange.Round{
-		Cloud: cloud, Ledger: ledger,
+		Cloud: wire.ObserveCloud(cloud, nil), Ledger: ledger,
 		Contract: contractAddr, User: userAddr, CloudAcct: cloudAddr,
 		AccPub: owner.AccumulatorPub(), Ac: owner.Ac(),
 	}

@@ -20,8 +20,8 @@ type Runner struct {
 	insertStats map[insertKey]core.UpdateStats
 	// Progress, when non-nil, receives status lines while experiments run.
 	Progress func(format string, args ...any)
-	// Registry, when non-nil, collects phase histograms from every cloud
-	// the runner builds; cmd/slicer-bench snapshots it around each
+	// Registry, when non-nil, collects the series of the servers an
+	// experiment starts; cmd/slicer-bench snapshots it around each
 	// experiment to report per-experiment instrument deltas.
 	Registry *obs.Registry
 }
@@ -75,9 +75,6 @@ func (r *Runner) ensure(bits, count int) (*deployment, error) {
 	cloud, err := core.NewCloud(owner.CloudInit(out.Index), core.WitnessOnDemand)
 	if err != nil {
 		return nil, err
-	}
-	if r.Registry != nil {
-		cloud.SetMetrics(r.Registry)
 	}
 	user, err := core.NewUser(owner.ClientState())
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"slicer/internal/accumulator"
 	"slicer/internal/hprime"
 	"slicer/internal/mhash"
-	"slicer/internal/obs"
 	"slicer/internal/prf"
 	"slicer/internal/store"
 	"slicer/internal/trapdoor"
@@ -66,7 +65,6 @@ type Cloud struct {
 	wtree         *accumulator.WitnessTree // on-demand mode: memoized RootFactor tree
 	fbG           *accumulator.FixedBase   // comb over g feeding successive wtrees
 	rebuilds      int                      // RootFactor rebuilds run, for tests
-	met           cloudMetrics
 
 	searchCalls atomic.Uint64 // Search invocations, for round-trip accounting
 }
@@ -249,8 +247,6 @@ func (c *Cloud) Ac() *big.Int {
 func (c *Cloud) ApplyUpdate(out *UpdateOutput) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.met.updates.Inc()
-	defer c.met.updateDur.ObserveSince(c.met.updateDur.Start())
 	shipped := c.mode == WitnessCached && len(out.Witnesses) > 0
 	if shipped {
 		if err := c.checkWitnesses(out.Witnesses, slices.Concat(c.primes, out.Primes), out.Ac); err != nil {
@@ -433,20 +429,29 @@ func (c *Cloud) Search(req *SearchRequest) (*SearchResponse, error) {
 	return c.SearchTraced(req, nil)
 }
 
-// SearchTraced is Search with an optional per-request trace: when tr is
-// non-nil every token's collect and witness phase is recorded as a span
-// (concurrent spans interleave by offset). The response is byte-identical
-// to Search's; a nil trace makes SearchTraced exactly Search.
-func (c *Cloud) SearchTraced(req *SearchRequest, tr *obs.Trace) (*SearchResponse, error) {
+// Hook observes a search's phases: Span is called as a token's phase
+// starts and the func it returns as the phase ends, from the search's
+// workers at once. *obs.Trace is one.
+type Hook interface {
+	Span(phase string) func()
+}
+
+// The phases of one token that a Hook sees.
+const (
+	SpanCollect = "cloud.collect" // the index walk: trapdoor chain and unmasking
+	SpanWitness = "cloud.witness" // the verification object
+)
+
+// SearchTraced is Search with an optional hook around every token's collect
+// and witness phase. The response is byte-identical to Search's; a nil hook
+// makes SearchTraced exactly Search.
+func (c *Cloud) SearchTraced(req *SearchRequest, hook Hook) (*SearchResponse, error) {
 	c.searchCalls.Add(1)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	c.met.searches.Inc()
-	c.met.tokens.Add(uint64(len(req.Tokens)))
-	t0 := c.met.search.Start()
 	results := make([]TokenResult, len(req.Tokens))
 	err := ForEachIndexed(len(req.Tokens), runtime.GOMAXPROCS(0), func(i int) error {
-		res, err := c.searchToken(req.Tokens[i], tr)
+		res, err := c.searchToken(req.Tokens[i], hook)
 		if err != nil {
 			return err
 		}
@@ -454,28 +459,24 @@ func (c *Cloud) SearchTraced(req *SearchRequest, tr *obs.Trace) (*SearchResponse
 		return nil
 	})
 	if err != nil {
-		c.met.errors.Inc()
 		return nil, err
 	}
-	c.met.search.ObserveSince(t0)
 	return &SearchResponse{Results: results}, nil
 }
 
 // SearchResults runs only the result-generation half of Algorithm 4 (lines
 // 2–7), without VO generation. The evaluation harness uses it to separate
 // result-generation time (Fig. 5a/5c) from VO-generation time (Fig. 5b/5d).
+// It and AttachWitnesses take no hook.
 func (c *Cloud) SearchResults(req *SearchRequest) (*SearchResponse, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	results := make([]TokenResult, len(req.Tokens))
 	err := ForEachIndexed(len(req.Tokens), runtime.GOMAXPROCS(0), func(i int) error {
-		t0 := c.met.collect.Start()
 		er, err := c.collectResults(req.Tokens[i])
 		if err != nil {
 			return err
 		}
-		c.met.collect.ObserveSince(t0)
-		c.met.results.Add(uint64(len(er)))
 		results[i] = TokenResult{Token: req.Tokens[i], ER: er}
 		return nil
 	})
@@ -491,32 +492,37 @@ func (c *Cloud) AttachWitnesses(resp *SearchResponse) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return ForEachIndexed(len(resp.Results), runtime.GOMAXPROCS(0), func(i int) error {
-		t0 := c.met.witness.Start()
 		vo, err := c.witnessFor(resp.Results[i].Token, resp.Results[i].ER)
 		if err != nil {
 			return err
 		}
-		c.met.witness.ObserveSince(t0)
 		resp.Results[i].Witness = vo
 		return nil
 	})
 }
 
-func (c *Cloud) searchToken(tok SearchToken, tr *obs.Trace) (TokenResult, error) {
-	endCollect := obs.StartPhase(c.met.collect, tr, "cloud.collect")
+func (c *Cloud) searchToken(tok SearchToken, hook Hook) (TokenResult, error) {
+	end := span(hook, SpanCollect)
 	er, err := c.collectResults(tok)
 	if err != nil {
 		return TokenResult{}, err
 	}
-	endCollect()
-	c.met.results.Add(uint64(len(er)))
-	endWitness := obs.StartPhase(c.met.witness, tr, "cloud.witness")
+	end()
+	end = span(hook, SpanWitness)
 	vo, err := c.witnessFor(tok, er)
 	if err != nil {
 		return TokenResult{}, err
 	}
-	endWitness()
+	end()
 	return TokenResult{Token: tok, ER: er, Witness: vo}, nil
+}
+
+// span starts phase on hook, which may be nil.
+func span(hook Hook, phase string) func() {
+	if hook == nil {
+		return func() {}
+	}
+	return hook.Span(phase)
 }
 
 // resultChunk is how many unmasked entries share one backing allocation in

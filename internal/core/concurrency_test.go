@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -288,5 +290,60 @@ func TestForEachIndexedFirstError(t *testing.T) {
 	}
 	if err := ForEachIndexed(0, 4, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatalf("empty range: %v", err)
+	}
+}
+
+// countingHook counts the phases a search starts and the ends it calls.
+type countingHook struct {
+	mu             sync.Mutex
+	started, ended map[string]int
+}
+
+func (h *countingHook) Span(phase string) func() {
+	h.mu.Lock()
+	h.started[phase]++
+	h.mu.Unlock()
+	return func() {
+		h.mu.Lock()
+		h.ended[phase]++
+		h.mu.Unlock()
+	}
+}
+
+// TestSearchHookSeesEveryPhase holds SearchTraced to the hook's contract:
+// for a b-token order request the hook sees b collect and b witness phases,
+// each ended once, and the response is Search's, at GOMAXPROCS 1 and 4.
+func TestSearchHookSeesEveryPhase(t *testing.T) {
+	db := make([]Record, 0, 64)
+	for i := uint64(0); i < 64; i++ {
+		db = append(db, NewRecord(i+1, (i*7)%256))
+	}
+	d := deploy(t, 8, db, WitnessCached)
+	req, err := d.user.Token(orderQuery(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := len(req.Tokens)
+	if b < 2 {
+		t.Fatalf("want a multi-token request, got %d tokens", b)
+	}
+	want, err := d.cloud.Search(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		withProcs(t, procs)
+		h := &countingHook{started: map[string]int{}, ended: map[string]int{}}
+		got, err := d.cloud.SearchTraced(req, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS %d: hooked response differs from Search's", procs)
+		}
+		phases := map[string]int{SpanCollect: b, SpanWitness: b}
+		if !maps.Equal(h.started, phases) || !maps.Equal(h.ended, phases) {
+			t.Errorf("GOMAXPROCS %d: %d tokens: started %v, ended %v", procs, b, h.started, h.ended)
+		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 	"slicer/internal/wire"
 )
 
-// Cloud is the searching party: *core.Cloud or *wire.CloudClient.
+// Cloud is the searching party: *wire.ObservedCloud or *wire.CloudClient.
 type Cloud interface {
 	SearchTraced(req *core.SearchRequest, tr *obs.Trace) (*core.SearchResponse, error)
 }

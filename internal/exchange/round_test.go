@@ -404,7 +404,7 @@ func TestRoundSameInProcessAndOverTheWire(t *testing.T) {
 		return res, phases
 	}
 
-	local, localPhases := run(fx.cloud, Local{Network: newNetwork()})
+	local, localPhases := run(wire.ObserveCloud(fx.cloud, nil), Local{Network: newNetwork()})
 
 	cloudSrv := wire.NewCloudServer()
 	cloudAddr, err := cloudSrv.Listen("127.0.0.1:0")

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"slicer/internal/chain"
-	"slicer/internal/core"
 	"slicer/internal/durable"
 	"slicer/internal/obs"
 )
@@ -262,15 +261,7 @@ func (cs *CloudServer) replayCloudRecord(rec []byte) error {
 	}
 	switch rec[0] {
 	case cloudRecInit:
-		var msg CloudInitMsg
-		if err := json.Unmarshal(rec[1:], &msg); err != nil {
-			return fmt.Errorf("wire: replay init: %w", err)
-		}
-		st, mode, err := DecodeCloudInit(&msg)
-		if err != nil {
-			return fmt.Errorf("wire: replay init: %w", err)
-		}
-		cloud, err := core.NewCloud(st, mode)
+		cloud, err := newCloud(rec[1:])
 		if err != nil {
 			return fmt.Errorf("wire: replay init: %w", err)
 		}
@@ -280,11 +271,7 @@ func (cs *CloudServer) replayCloudRecord(rec []byte) error {
 		if err != nil {
 			return fmt.Errorf("wire: replay update: %w", err)
 		}
-		var msg UpdateMsg
-		if err := json.Unmarshal(rec[1:], &msg); err != nil {
-			return fmt.Errorf("wire: replay update: %w", err)
-		}
-		out, err := DecodeUpdate(&msg)
+		out, err := decodeUpdate(rec[1:])
 		if err != nil {
 			return fmt.Errorf("wire: replay update: %w", err)
 		}

@@ -112,7 +112,7 @@ func TestDistributedSearchMetrics(t *testing.T) {
 	}
 	resp := out.Response
 	verifyDur := reg.Histogram(obs.Label("slicer_pipeline_seconds", "phase", "verify"), "")
-	if err := core.VerifyResponseObserved(owner.AccumulatorPub(), owner.Ac(), req, resp, verifyDur, nil); err != nil {
+	if err := VerifyResponseObserved(owner.AccumulatorPub(), owner.Ac(), req, resp, verifyDur, nil); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
 	ids, err := user.Decrypt(resp)

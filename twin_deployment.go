@@ -8,6 +8,7 @@ import (
 	"slicer/internal/contract"
 	"slicer/internal/core"
 	"slicer/internal/exchange"
+	"slicer/internal/wire"
 )
 
 // TwinDeployment combines the deletion/update extension with the on-chain
@@ -189,7 +190,7 @@ func (d *TwinDeployment) VerifiedSearch(q Query, fee uint64) (*TwinOutcome, erro
 		return nil, err
 	}
 	halves := [2]*core.SearchRequest{req.Add, req.Del}
-	clouds := [2]*core.Cloud{d.cloud.Add, d.cloud.Del}
+	clouds := [2]exchange.Cloud{wire.ObserveCloud(d.cloud.Add, nil), wire.ObserveCloud(d.cloud.Del, nil)}
 	var resps [2]*core.SearchResponse
 	outcome := &TwinOutcome{Settled: true}
 

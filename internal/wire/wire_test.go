@@ -3,14 +3,18 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
 
+	"slicer/internal/audit"
 	"slicer/internal/chain"
 	"slicer/internal/contract"
 	"slicer/internal/core"
+	"slicer/internal/durable"
+	"slicer/internal/obs"
 	"slicer/internal/workload"
 )
 
@@ -403,5 +407,77 @@ func TestChainServerFullProtocol(t *testing.T) {
 	h, err := cli.Height()
 	if err != nil || h != 1 {
 		t.Errorf("Height = %d, %v", h, err)
+	}
+}
+
+// TestSearchAuditRecordCountsEntries reads back the audit record of one
+// multi-token search: it names the request's tokens and its encrypted result
+// entries, the count slicer_cloud_results_total adds.
+func TestSearchAuditRecordCountsEntries(t *testing.T) {
+	owner, err := core.NewOwner(core.Params{Bits: 8, TrapdoorBits: 256, AccumulatorBits: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := owner.Build(workload.Generate(workload.Config{N: 60, Bits: 8, Seed: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	user, err := core.NewUser(owner.ClientState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	led, err := audit.Open(audit.Options{FS: durable.NewMemFS(), Dir: "audit"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	reg := obs.NewRegistry()
+	srv := NewCloudServer()
+	srv.SetObservability(reg, nil)
+	srv.EnableAudit(led)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := DialCloud(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if err := cli.Init(owner.CloudInit(built.Index), true); err != nil {
+		t.Fatal(err)
+	}
+
+	req, err := user.Token(core.Less(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := cli.Search(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := 0
+	for _, res := range resp.Results {
+		entries += len(res.ER)
+	}
+	if entries == len(req.Tokens) {
+		t.Fatalf("%d entries for %d tokens: the search cannot tell the counts apart", entries, len(req.Tokens))
+	}
+	if n := reg.Counter("slicer_cloud_results_total", "").Value(); n != uint64(entries) {
+		t.Errorf("slicer_cloud_results_total = %d, want %d", n, entries)
+	}
+	if err := led.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var details []string
+	for _, r := range led.Recent(0) {
+		if r.Kind == audit.KindSearch {
+			details = append(details, r.Detail)
+		}
+	}
+	want := fmt.Sprintf("%d tokens, %d results (peer ", len(req.Tokens), entries)
+	if len(details) != 1 || !strings.HasPrefix(details[0], want) {
+		t.Errorf("search records %q, want one starting %q", details, want)
 	}
 }

@@ -91,8 +91,6 @@ type Engine struct {
 	mu         sync.Mutex
 	objectives []Objective
 	states     map[string]SLOState
-	last       []SLOStatus
-	evaluated  bool
 	onBreach   []func(SLOStatus)
 }
 
@@ -183,10 +181,6 @@ func (e *Engine) Evaluate() []SLOStatus {
 			}
 		}
 	}
-	e.mu.Lock()
-	e.last = statuses
-	e.evaluated = true
-	e.mu.Unlock()
 	for _, st := range breached {
 		for _, fn := range callbacks {
 			fn(st)
@@ -249,22 +243,6 @@ func (e *Engine) evaluateOne(o Objective) SLOStatus {
 		st.ExemplarTrace = ex.TraceID
 	}
 	return st
-}
-
-// Statuses returns the most recently evaluated statuses, evaluating once
-// if the engine never ran.
-func (e *Engine) Statuses() []SLOStatus {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	if e.evaluated {
-		out := append([]SLOStatus(nil), e.last...)
-		e.mu.Unlock()
-		return out
-	}
-	e.mu.Unlock()
-	return e.Evaluate()
 }
 
 // Run evaluates on a background ticker (default 10s) until the returned

@@ -263,12 +263,7 @@ type RouterClient struct {
 	c *wire.Client
 }
 
-// DialRouter connects to a router's admin surface.
-func DialRouter(addr string) (*RouterClient, error) {
-	return DialRouterOpts(addr, wire.ClientOptions{})
-}
-
-// DialRouterOpts connects with explicit transport options.
+// DialRouterOpts connects to a router's admin surface.
 func DialRouterOpts(addr string, opts wire.ClientOptions) (*RouterClient, error) {
 	c, err := wire.DialOpts(addr, opts)
 	if err != nil {
